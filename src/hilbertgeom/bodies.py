@@ -10,10 +10,12 @@ through three primitives:
 * ``ray_exit``       length to the boundary along a unit direction,
 * ``bounding_box``   a covering axis-aligned box.
 
-``ray_exit`` is exact (closed form) for polygons, disks and ellipsoids and
-uses bisection on ``signed_gap`` for halfspace intersections.  The generic
-bisection oracle is also exposed as ``boundary_hit_bisect`` so the two
-routes can be compared on bodies where both exist.
+``ray_exit`` is exact (closed form) for every kind.  Polygons and halfspace
+intersections share one formula in their constraint slacks
+``s_i(p) = b_i - n_i . p``: the exit along unit ``u`` is
+``1 / max_i (n_i . u / s_i(p))``.  A generic bisection oracle on
+``signed_gap`` is exposed as ``boundary_hit_bisect`` to cross-check the
+closed forms.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ TAU_P = 1e-12
 TAU_PAR = 1e-12
 # Boundary band half-width, relative to the Euclidean diameter of the body.
 REL_BOUNDARY_TOL = 1e-10
-# Escape radius beyond which a halfspace intersection is declared unbounded.
-PROBE_RADIUS = 1e6
+# Cap on the inscribed radius in the interior-seed LP, so an unbounded
+# halfspace set still yields a seed and is rejected by the support-box LPs.
+SEED_RADIUS_CAP = 1e7
 
 
 class Region(Enum):
@@ -150,6 +153,34 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _constraint_gap(N: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Largest constraint violation ``max_i (n_i . p - b_i)`` per row of P."""
+    G = np.atleast_2d(P) @ N.T
+    G -= b
+    return G.max(axis=1)
+
+
+def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Exit lengths from rows of P along unit rows of U for ``N x <= b``.
+
+    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))`` with slacks
+    ``s_i(p) = b_i - n_i . p``.  Computed in place: one (m, constraints)
+    buffer for the slacks and one for the ratios.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    S = P @ N.T
+    np.subtract(b, S, out=S)
+    if not np.all(S.min(axis=1) > 0.0):
+        raise ExteriorBase("ray base is not interior to the constraints")
+    G = U @ N.T
+    np.divide(G, S, out=G)
+    rate = G.max(axis=1)
+    if not np.all(rate > 0.0):
+        raise ExteriorBase("ray does not exit the body")
+    return 1.0 / rate
+
+
 class Polygon(ConvexBody):
     """Strictly convex polygon from counterclockwise vertices.
 
@@ -193,30 +224,14 @@ class Polygon(ConvexBody):
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         self._normals = _read_only(normals)
         self._offsets = _read_only(np.einsum("ij,ij->i", normals, V))
+        d = V[:, None, :] - V[None, :, :]
+        self._diameter = float(np.sqrt((d * d).sum(axis=2).max()))
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        return np.max(P @ self._normals.T - self._offsets, axis=1)
+        return _constraint_gap(self._normals, self._offsets, P)
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        m = P.shape[0]
-        best = np.full(m, np.inf)
-        V = self.vertices
-        for k in range(V.shape[0]):
-            a = V[k]
-            e = V[(k + 1) % V.shape[0]] - a
-            denom = _cross2(U, np.broadcast_to(e, U.shape))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = a - P
-                t = _cross2(w, np.broadcast_to(e, w.shape)) / denom
-                s = _cross2(w, U) / denom
-            ok = (np.abs(denom) > 1e-300) & (t > 0.0) & (s >= -1e-12) & (s <= 1.0 + 1e-12)
-            best = np.where(ok & (t < best), t, best)
-        if not np.all(np.isfinite(best)):
-            raise ExteriorBase("ray does not exit the polygon; base point not interior")
-        return best
+        return _constraint_exit(self._normals, self._offsets, P, U)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -225,9 +240,7 @@ class Polygon(ConvexBody):
         return self.vertices.mean(axis=0)
 
     def euclidean_diameter(self) -> float:
-        V = self.vertices
-        d = V[:, None, :] - V[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2).max()))
+        return self._diameter
 
 
 class Disk(ConvexBody):
@@ -356,9 +369,9 @@ class HalfspacePolytope(ConvexBody):
     """Intersection of halfspaces ``normal . x <= offset``.
 
     Validation finds a Chebyshev-style interior seed by linear programming,
-    then certifies boundedness by probing the exit in the 2n axis directions;
-    a probe escaping radius ``PROBE_RADIUS`` raises Unbounded.  The boundary
-    oracle is bisection on the constraint gap.
+    then the covering box by one LP per axis direction; an unbounded support
+    raises Unbounded.  The boundary oracle is the closed-form constraint-slack
+    exit shared with ``Polygon``.
     """
 
     kind = "polytope"
@@ -381,9 +394,7 @@ class HalfspacePolytope(ConvexBody):
         self._normals = _read_only(N)
         self._offsets = _read_only(b)
 
-        seed = self._chebyshev_seed()
-        self._seed = _read_only(seed)
-        self._certify_bounded(seed)
+        self._seed = _read_only(self._chebyshev_seed())
         lo, hi = self._support_box()
         self._box = (_read_only(lo), _read_only(hi))
 
@@ -396,7 +407,7 @@ class HalfspacePolytope(ConvexBody):
         c = np.zeros(n + 1)
         c[-1] = -1.0
         A = np.hstack([self._normals, np.ones((m, 1))])
-        bounds = [(None, None)] * n + [(0.0, 10.0 * PROBE_RADIUS)]
+        bounds = [(None, None)] * n + [(0.0, SEED_RADIUS_CAP)]
         res = linprog(c, A_ub=A, b_ub=self._offsets, bounds=bounds, method="highs")
         if res.status == 2 or not res.success:
             raise EmptyInterior("halfspace intersection has no interior point")
@@ -404,20 +415,6 @@ class HalfspacePolytope(ConvexBody):
         if r <= 1e-12 * max(1.0, float(np.abs(self._offsets).max())):
             raise EmptyInterior("halfspace intersection has empty interior (flat feasible set)")
         return np.asarray(res.x[:-1], dtype=float)
-
-    def _certify_bounded(self, seed: np.ndarray) -> None:
-        n = self.dimension
-        for axis in range(n):
-            for sign in (1.0, -1.0):
-                u = np.zeros(n)
-                u[axis] = sign
-                s = 1.0
-                while self.signed_gap((seed + s * u)[None, :])[0] < 0.0:
-                    s *= 2.0
-                    if s > PROBE_RADIUS:
-                        raise Unbounded(
-                            f"axis probe {sign:+.0f}e_{axis} stays inside past radius {PROBE_RADIUS:g}"
-                        )
 
     def _support_box(self) -> tuple[np.ndarray, np.ndarray]:
         from scipy.optimize import linprog
@@ -440,16 +437,10 @@ class HalfspacePolytope(ConvexBody):
         return lo, hi
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        return np.max(P @ self._normals.T - self._offsets, axis=1)
+        return _constraint_gap(self._normals, self._offsets, P)
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        if np.any(self.signed_gap(P) >= 0.0):
-            raise ExteriorBase("ray base lies outside the polytope")
-        hi0 = 1.01 * self.euclidean_diameter()
-        return _bisect_exit(self, P, U, hi0)
+        return _constraint_exit(self._normals, self._offsets, P, U)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self._box

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hilbertgeom import (
     chord_through,
     classify,
     distance,
+    distance_pairs,
     is_strictly_convex,
     validate_body,
 )
@@ -87,6 +90,27 @@ def test_polytope_unbounded_raises():
 def test_polytope_empty_raises():
     with pytest.raises(EmptyInterior):
         HalfspacePolytope([(1.0, 0.0), (-1.0, 0.0)], [1.0, -2.0])
+
+
+def test_polytope_square_pairs_match_polygon_square(square, square_polytope):
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-0.999, 0.999, (2000, 2))
+    Y = rng.uniform(-0.999, 0.999, (2000, 2))
+    gap = np.abs(distance_pairs(square, X, Y) - distance_pairs(square_polytope, X, Y))
+    assert gap.max() <= 1e-12
+
+
+def test_polygon_diameter_is_largest_vertex_distance(heptagon):
+    V = heptagon.vertices
+    want = max(np.linalg.norm(a - b) for a in V for b in V)
+    assert heptagon.euclidean_diameter() == pytest.approx(want, rel=1e-15)
+
+
+def test_polygon_ray_exit_emits_no_warning(square):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        s = square.ray_exit([[0.0, 0.5]], [[1.0, 1e-309]])
+    assert s[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_polytope_square_matches_polygon_square(square, square_polytope):

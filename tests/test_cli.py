@@ -22,6 +22,14 @@ def square_json(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def square_halfspaces_json(tmp_path):
+    p = tmp_path / "square_halfspaces.json"
+    halves = [{"normal": n, "offset": 1.0} for n in ([1, 0], [-1, 0], [0, 1], [0, -1])]
+    p.write_text(json.dumps({"type": "polytope", "halfspaces": halves}) + "\n")
+    return str(p)
+
+
 def test_dist_prints_twelve_decimals(disk_json, capsys):
     code = main(["dist", "--body", disk_json, "--x", "0,0", "--y", "0.5,0"])
     assert code == 0
@@ -164,6 +172,15 @@ def test_verify_all_square_passes(square_json, tmp_path, capsys):
     out = tmp_path / "va"
     code = main(["verify", "--body", square_json, "--suite", "all",
                  "--samples", "60", "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+
+
+def test_verify_asdim_halfspace_square_passes(square_halfspaces_json, tmp_path, capsys):
+    # equal-distance checks hold at 1e-9 only with exact polytope ray exits
+    out = tmp_path / "vh"
+    code = main(["verify", "--body", square_halfspaces_json, "--suite", "asdim",
+                 "--samples", "20", "--seed", "0", "--out", str(out)])
     capsys.readouterr()
     assert code == 0
 

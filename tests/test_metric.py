@@ -15,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertgeom import (
+    HalfspacePolytope,
     ball_boundary,
+    boundary_hit,
+    boundary_hit_bisect,
     chord_through,
     concurrency_defect,
     cross_ratio,
@@ -124,6 +127,52 @@ def test_segments_are_geodesics_in_disk(a, b, lam):
     if np.hypot(x[0] - y[0], x[1] - y[1]) < 1e-3:
         return
     assert geodesic_defect(body, x, y, lam) <= 1e-10
+
+
+@pytest.fixture
+def cube_polytope():
+    return HalfspacePolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+
+
+def _cube_points(rng, m):
+    return rng.uniform(-0.99, 0.99, (m, 3))
+
+
+def test_cube_distance_pairs_agrees_with_scalar(cube_polytope):
+    rng = np.random.default_rng(31)
+    X, Y = _cube_points(rng, 40), _cube_points(rng, 40)
+    batch = distance_pairs(cube_polytope, X, Y)
+    for i in range(40):
+        assert batch[i] == pytest.approx(distance(cube_polytope, X[i], Y[i]), abs=1e-9)
+
+
+def test_cube_symmetry_is_bit_exact(cube_polytope):
+    rng = np.random.default_rng(32)
+    X, Y = _cube_points(rng, 500), _cube_points(rng, 500)
+    assert np.array_equal(distance_pairs(cube_polytope, X, Y), distance_pairs(cube_polytope, Y, X))
+
+
+def test_cube_triangle_inequality(cube_polytope):
+    # y on the segment from x to z makes the inequality an equality, so
+    # exit errors show up directly
+    rng = np.random.default_rng(33)
+    X, Z = _cube_points(rng, 2000), _cube_points(rng, 2000)
+    lam = rng.uniform(0.05, 0.95, (2000, 1))
+    Y = X + lam * (Z - X)
+    for y in (Y, _cube_points(rng, 2000)):
+        excess = (distance_pairs(cube_polytope, X, Z) - distance_pairs(cube_polytope, X, y)
+                  - distance_pairs(cube_polytope, y, Z))
+        assert excess.max() <= 1e-9
+
+
+def test_cube_exit_agrees_with_bisection(cube_polytope):
+    rng = np.random.default_rng(34)
+    tol = 1e-8 * cube_polytope.euclidean_diameter()
+    for o in _cube_points(rng, 25):
+        u = rng.normal(size=3)
+        a = boundary_hit(cube_polytope, o, u)
+        b = boundary_hit_bisect(cube_polytope, o, u)
+        assert np.linalg.norm(a - b) < tol
 
 
 def test_ray_point_closed_form_on_disk(unit_disk):
