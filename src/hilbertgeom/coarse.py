@@ -22,7 +22,7 @@ import numpy as np
 
 from .bodies import ConvexBody, Region, as_point, classify, _read_only
 from .errors import BadOrder, BadRadii, BallNotContained, NotOnBoundary
-from .metric import distance, distance_pairs, _ray_param
+from .metric import distance, distance_pairs, ray_points, sphere_points
 from .sampling import ball_candidates, sample_ball
 
 
@@ -188,8 +188,6 @@ class CoronaProbeReport:
 
 
 def _annulus_points(body: ConvexBody, o: np.ndarray, rho: float, samples: int, rng) -> np.ndarray:
-    from .metric import sphere_points
-
     thetas = rng.uniform(0.0, 2.0 * math.pi, samples)
     ts = rng.uniform(rho, rho + 1.0, samples)
     return sphere_points(body, o, thetas, ts)
@@ -199,11 +197,7 @@ def _hilbert_steps(body: ConvexBody, X: np.ndarray, steps: np.ndarray, rng) -> n
     """Move each row of X a given Hilbert distance in a fresh random direction."""
     phis = rng.uniform(0.0, 2.0 * math.pi, X.shape[0])
     U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
-    b = body.ray_exit(X, U)
-    a = body.ray_exit(X, -U)
-    s = _ray_param(a, b, steps)
-    s = np.minimum(s, np.nextafter(b, 0.0))
-    return X + s[:, None] * U
+    return ray_points(body, X, U, steps)
 
 
 def corona_probe(

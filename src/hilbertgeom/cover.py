@@ -59,7 +59,7 @@ def _norm_angle(theta: float) -> float:
 
 
 class SphereField:
-    """Ray-exit cache for a fixed base point; shared by all sphere levels."""
+    """The rays from one interior base point of a planar body, by angle; uncached."""
 
     def __init__(self, body: ConvexBody, o):
         if body.dimension != 2:
@@ -68,37 +68,19 @@ class SphereField:
         self.o = as_point(o, 2)
         if classify(body, self.o) is not Region.INTERIOR:
             raise ExteriorPoint("decomposition base point must be interior")
-        self._cache: dict[float, tuple[float, float]] = {}
 
     def exits(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Backward and forward exit lengths (a, b) of the rays at angles thetas."""
         thetas = np.asarray(thetas, dtype=float)
-        a = np.empty(thetas.shape)
-        b = np.empty(thetas.shape)
-        missing = []
-        for i, th in enumerate(thetas):
-            hit = self._cache.get(float(th))
-            if hit is None:
-                missing.append(i)
-            else:
-                a[i], b[i] = hit
-        if missing:
-            idx = np.array(missing)
-            U = np.stack([np.cos(thetas[idx]), np.sin(thetas[idx])], axis=1)
-            O = np.broadcast_to(self.o, U.shape)
-            bf = self.body.ray_exit(O, U)
-            bb = self.body.ray_exit(O, -U)
-            for j, i in enumerate(idx):
-                self._cache[float(thetas[i])] = (float(bb[j]), float(bf[j]))
-                a[i], b[i] = bb[j], bf[j]
-        return a, b
+        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        O = np.broadcast_to(self.o, U.shape)
+        return self.body.ray_exit(O, -U), self.body.ray_exit(O, U)
 
     def points(self, thetas: np.ndarray, ts) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
         a, b = self.exits(thetas)
-        s = _ray_param(a, b, ts)
-        s = np.minimum(s, np.nextafter(b, 0.0))
         U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return self.o + s[:, None] * U
+        return self.o + _ray_param(a, b, ts)[:, None] * U
 
     def point(self, theta: float, t: float) -> np.ndarray:
         return self.points(np.array([theta]), float(t))[0]
@@ -193,7 +175,6 @@ def first_marker(
     *,
     grid: int = N_ARC,
     angle_tol: float = ANGLE_TOL,
-    _field: SphereField | None = None,
 ) -> float | None:
     """First angle on the arc whose sphere point is at distance R from the start.
 
@@ -201,7 +182,7 @@ def first_marker(
     continuity of the distance along the arc.  Returns None when the sampled
     arc never reaches distance R from its start.
     """
-    field = _field if _field is not None else level.field()
+    field = level.field()
     width = end_angle - start_angle
     if width <= 0.0:
         return None
@@ -232,7 +213,6 @@ def decompose_arc(
     *,
     grid: int = N_ARC,
     angle_tol: float = ANGLE_TOL,
-    _field: SphereField | None = None,
 ) -> list[float]:
     """Interior cut angles splitting the arc into an odd number of good arcs.
 
@@ -242,12 +222,11 @@ def decompose_arc(
     reaches R from its start, and the 4R spread bound holds with margin because marched arcs keep
     all points within R of their start.
     """
-    field = _field if _field is not None else level.field()
     if end_angle - start_angle <= 0.0:
         raise ValueError("arc must have positive width")
     pts = [start_angle]
     for _ in range(100000):
-        theta = first_marker(level, pts[-1], end_angle, R, grid=grid, angle_tol=angle_tol, _field=field)
+        theta = first_marker(level, pts[-1], end_angle, R, grid=grid, angle_tol=angle_tol)
         if theta is None:
             if len(pts) == 1:
                 raise ArcReachViolation(
@@ -296,10 +275,9 @@ def initial_decomposition(
     if R <= 0.0:
         raise NegativeParameter("sphere step R must be positive")
     level = SphereLevel(index=1, radius=R, body=body, base=_read_only(as_point(o, 2)))
-    field = level.field()
     try:
-        cuts1 = decompose_arc(level, theta0, theta0 + math.pi, R, grid=grid, _field=field)
-        cuts2 = decompose_arc(level, theta0 + math.pi, theta0 + TWO_PI, R, grid=grid, _field=field)
+        cuts1 = decompose_arc(level, theta0, theta0 + math.pi, R, grid=grid)
+        cuts2 = decompose_arc(level, theta0 + math.pi, theta0 + TWO_PI, R, grid=grid)
     except ArcReachViolation as e:
         raise ArcReachViolation(f"level 1 with R={R:g}: {e}") from e
     ordered = [theta0, *cuts1, theta0 + math.pi, *cuts2]
@@ -325,7 +303,6 @@ def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDe
         body=lower.body,
         base=lower.base,
     )
-    field = upper.field()
     marks = dec.markers
     M = len(marks)
     start = next(i for i, mk in enumerate(marks) if mk.kind == "Y")
@@ -343,7 +320,7 @@ def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDe
         if kind != flip[marks[i0].kind]:
             raise RuntimeError("internal: lifted marker kind does not alternate correctly")
         try:
-            cuts = decompose_arc(upper, lo, hi, R, grid=grid, _field=field)
+            cuts = decompose_arc(upper, lo, hi, R, grid=grid)
         except ArcReachViolation as e:
             raise ArcReachViolation(
                 f"level {upper.index} with R={R:g}: lifted arc lost its reach ({e})"
@@ -412,10 +389,9 @@ def arc_start_reach(
     end_angle: float,
     *,
     grid: int = N_ARC,
-    _field: SphereField | None = None,
 ) -> float:
     """Sampled max distance from the arc start; every marked arc needs this >= R."""
-    field = _field if _field is not None else dec_level.field()
+    field = dec_level.field()
     thetas = start_angle + (end_angle - start_angle) * np.arange(grid + 1) / grid
     pts = field.points(thetas, dec_level.radius)
     return float(field.dist_from(pts[0], pts).max())
@@ -427,10 +403,9 @@ def arc_sampled_diameter(
     end_angle: float,
     *,
     n: int = N_DIAM,
-    _field: SphereField | None = None,
 ) -> float:
     """Sampled Hilbert diameter of the arc; the spread bound needs this <= 4R."""
-    field = _field if _field is not None else dec_level.field()
+    field = dec_level.field()
     thetas = start_angle + (end_angle - start_angle) * np.arange(n + 1) / n
     pts = field.points(thetas, dec_level.radius)
     ii, jj = np.triu_indices(len(pts), k=1)
@@ -439,7 +414,6 @@ def arc_sampled_diameter(
 
 def decomposition_audit(dec: ArcDecomposition, R: float, *, grid: int = N_ARC, n_diam: int = N_DIAM) -> list[dict]:
     """Per-arc reach and spread samples, one row per marker arc."""
-    field = dec.level.field()
     rows = []
     for lo, hi in dec.arcs():
         rows.append(
@@ -447,8 +421,8 @@ def decomposition_audit(dec: ArcDecomposition, R: float, *, grid: int = N_ARC, n
                 "level": dec.level.index,
                 "start": lo,
                 "end": hi,
-                "start_reach": arc_start_reach(dec.level, lo, hi, grid=grid, _field=field),
-                "diameter": arc_sampled_diameter(dec.level, lo, hi, n=n_diam, _field=field),
+                "start_reach": arc_start_reach(dec.level, lo, hi, grid=grid),
+                "diameter": arc_sampled_diameter(dec.level, lo, hi, n=n_diam),
             }
         )
     return rows
@@ -488,9 +462,9 @@ class CoverPiece:
         off = _norm_angle(theta - self.theta_start)
         return off <= self.width + tol or off >= TWO_PI - tol
 
-    def boundary_samples(self, n: int, _field: SphereField | None = None) -> np.ndarray:
+    def boundary_samples(self, n: int) -> np.ndarray:
         """Boundary points (arcs and radial sides); the count depends only on n."""
-        field = _field if _field is not None else SphereField(self.body, self.base)
+        field = SphereField(self.body, self.base)
         n_arc = max(4, n * 3 // 8)
         n_side = max(2, (n - 2 * n_arc) // 2)
         total = 2 * (n_arc + 1) + 2 * n_side
@@ -598,7 +572,7 @@ def multiplicity_probe(
     base = ball.base
     field = SphereField(body, base)
 
-    samples = np.stack([p.boundary_samples(samples_per_piece, field) for p in pieces])
+    samples = np.stack([p.boundary_samples(samples_per_piece) for p in pieces])
     bands = np.array([[p.r_inner, p.r_outer] for p in pieces])
     t_max = max(p.r_outer for p in pieces)
 

@@ -78,3 +78,7 @@ class ArcReachViolation(GeometryError):
 
 class DegenerateRay(GeometryError):
     """Ray direction cannot be derived because the two points coincide."""
+
+
+class SamplingExhausted(GeometryError):
+    """Rejection sampler ran out of draws before filling its request."""

@@ -141,17 +141,25 @@ def ray_spec(body: ConvexBody, base, direction) -> RaySpec:
 
 
 def _ray_param(a, b, t):
-    """Euclidean parameter of the point at Hilbert distance t along a ray."""
+    """Euclidean parameter of the point at Hilbert distance t along a ray,
+    clamped strictly below the forward exit b (large t rounds onto it)."""
     et = np.exp(-np.asarray(t, dtype=float))
-    return a * b * (1.0 - et) / (a + b * et)
+    return np.minimum(a * b * (1.0 - et) / (a + b * et), np.nextafter(b, 0.0))
+
+
+def ray_points(body: ConvexBody, P: np.ndarray, U: np.ndarray, t) -> np.ndarray:
+    """Points at Hilbert distance t (scalar or per row) from interior rows P
+    along unit rows U; unchecked fast path, parameter clamped below the exit."""
+    b = body.ray_exit(P, U)
+    a = body.ray_exit(P, -U)
+    return P + _ray_param(a, b, t)[:, None] * U
 
 
 def ray_point(ray: RaySpec, t: float) -> np.ndarray:
-    """Point at Hilbert distance t >= 0 from the ray base (never reaches the boundary)."""
+    """Point at Hilbert distance t >= 0 from the ray base (parameter clamped below the exit)."""
     if t < 0.0:
         raise NegativeParameter("ray parameter must be >= 0")
     s = float(_ray_param(ray.a, ray.b, float(t)))
-    s = min(s, float(np.nextafter(ray.b, 0.0)))
     return ray.base + s * ray.direction
 
 
@@ -170,12 +178,7 @@ def sphere_points(body: ConvexBody, o, thetas: np.ndarray, ts) -> np.ndarray:
     o = as_point(o, 2)
     thetas = np.asarray(thetas, dtype=float)
     U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    O = np.broadcast_to(o, U.shape)
-    b = body.ray_exit(O, U)
-    a = body.ray_exit(O, -U)
-    s = _ray_param(a, b, ts)
-    s = np.minimum(s, np.nextafter(b, 0.0))
-    return o + s[:, None] * U
+    return ray_points(body, np.broadcast_to(o, U.shape), U, ts)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bodies import ConvexBody
+from .errors import SamplingExhausted
 from .metric import ball_boundary, distance_pairs
 
 _MAX_ROUNDS = 200
@@ -26,7 +27,7 @@ def sample_interior(
         keep = body.signed_gap(cand) < -max(clearance, body.boundary_tol())
         out = np.vstack([out, cand[keep]])
     if out.shape[0] < n:
-        raise RuntimeError("rejection sampling failed; clearance too large for the body")
+        raise SamplingExhausted("rejection sampling failed; clearance too large for the body")
     return out[:n]
 
 
@@ -73,5 +74,5 @@ def sample_ball(
         got = ball_candidates(body, center, t, max(2 * n, 64), rng)
         out = np.vstack([out, got])
     if out.shape[0] < n:
-        raise RuntimeError("metric ball rejection sampling failed to fill the request")
+        raise SamplingExhausted("metric ball rejection sampling failed to fill the request")
     return out[:n]

@@ -74,6 +74,18 @@ def test_precondition_violations_exit_2(disk_json, capsys):
     capsys.readouterr()
 
 
+def test_sampler_exhaustion_exits_2(tmp_path, capsys):
+    # no interior point of a 2 x 0.01 rectangle clears 2% of its diameter
+    thin = tmp_path / "thin.json"
+    thin.write_text('{"type": "polygon", "vertices": '
+                    '[[-1,-0.005],[1,-0.005],[1,0.005],[-1,0.005]]}\n')
+    assert main(["verify", "--body", str(thin), "--suite", "asdim",
+                 "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated: SamplingExhausted" in err
+    assert "Traceback" not in err
+
+
 def test_ball_svg_has_coordinate_header(disk_json, tmp_path, capsys):
     out = tmp_path / "render"
     code = main(["ball", "--body", disk_json, "--center", "0,0",
