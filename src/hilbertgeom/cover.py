@@ -44,6 +44,10 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-10
 # grid resolution for sampled reach scans and marker marching
 N_ARC = 512
+# cap on bisection halvings per marker; the split test usually ends it first
+MAX_HALVINGS = 64
+# rows per oracle call in batched marker scans and the multiplicity probe
+ROW_BUDGET = 4096
 # pairwise sample count for sampled arc/piece diameters
 N_DIAM = 128
 
@@ -81,9 +85,6 @@ class SphereField:
         a, b = self.exits(thetas)
         U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
         return self.o + _ray_param(a, b, ts)[:, None] * U
-
-    def point(self, theta: float, t: float) -> np.ndarray:
-        return self.points(np.array([theta]), float(t))[0]
 
     def dist_from(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return distance_pairs(self.body, np.broadcast_to(p, Q.shape), Q)
@@ -169,83 +170,116 @@ def project_between_levels(body: ConvexBody, o, x, t_target: float) -> np.ndarra
 
 def first_marker(
     level: SphereLevel,
-    start_angle: float,
-    end_angle: float,
+    starts,
+    ends,
     R: float,
     *,
     grid: int = N_ARC,
     angle_tol: float = ANGLE_TOL,
-) -> float | None:
-    """First angle on the arc whose sphere point is at distance R from the start.
+) -> np.ndarray:
+    """First angle on each arc whose sphere point is at distance R from the arc start.
 
-    Scans a uniform grid and refines the bracket by bisection; assumes only
-    continuity of the distance along the arc.  Returns None when the sampled
-    arc never reaches distance R from its start.
+    Arc k runs from ``starts[k]`` to ``ends[k]``.  A uniform grid of
+    grid + 1 angles per arc is scanned, ROW_BUDGET // (grid + 1) arcs per
+    oracle call, and each arc's first bracket crossing R is refined by
+    bisection, one oracle call per step for all open brackets.  A bracket
+    closes once it is no wider than angle_tol, after MAX_HALVINGS halvings,
+    or when its midpoint no longer splits it, so each arc follows the same
+    steps whatever else is in the batch.  Assumes only continuity of the
+    distance along the arc.  Holds NaN for an arc that is empty or whose
+    sampled points never reach distance R from its start.
     """
     field = level.field()
-    width = end_angle - start_angle
-    if width <= 0.0:
-        return None
-    thetas = start_angle + width * np.arange(grid + 1) / grid
-    pts = field.points(thetas, level.radius)
-    d = field.dist_from(pts[0], pts)
-    hits = np.nonzero(d >= R)[0]
-    if hits.size == 0 or hits[0] == 0:
-        return None
-    k = int(hits[0])
-    lo, hi = float(thetas[k - 1]), float(thetas[k])
-    p0 = pts[0]
-    while hi - lo > angle_tol:
-        mid = 0.5 * (lo + hi)
-        dm = float(field.dist_from(p0, field.point(mid, level.radius)[None, :])[0])
-        if dm >= R:
-            hi = mid
-        else:
-            lo = mid
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    ends = np.atleast_1d(np.asarray(ends, dtype=float))
+    lo = np.full(starts.shape, np.nan)
+    hi = np.full(starts.shape, np.nan)
+    p0 = np.zeros((starts.size, 2))
+    steps = np.arange(grid + 1)
+    per_call = max(1, ROW_BUDGET // (grid + 1))
+    for c in range(0, starts.size, per_call):
+        s, e = starts[c:c + per_call], ends[c:c + per_call]
+        thetas = s[:, None] + (e - s)[:, None] * steps / grid
+        pts = field.points(thetas.ravel(), level.radius)
+        P = pts.reshape(s.size, grid + 1, 2)
+        d = field.dist_from(np.repeat(P[:, 0], grid + 1, axis=0), pts).reshape(s.size, grid + 1)
+        hit = d >= R
+        k = hit.argmax(axis=1)
+        found = np.nonzero(hit.any(axis=1) & (k > 0) & (e > s))[0]
+        lo[c + found] = thetas[found, k[found] - 1]
+        hi[c + found] = thetas[found, k[found]]
+        p0[c + found] = P[found, 0]
+
+    live = np.nonzero(hi - lo > angle_tol)[0]
+    for _ in range(MAX_HALVINGS):
+        mid = 0.5 * (lo[live] + hi[live])
+        splits = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[splits], mid[splits]
+        if live.size == 0:
+            break
+        up = field.dist_from(p0[live], field.points(mid, level.radius)) >= R
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+        live = live[hi[live] - lo[live] > angle_tol]
     return 0.5 * (lo + hi)
 
 
 def decompose_arc(
     level: SphereLevel,
-    start_angle: float,
-    end_angle: float,
+    starts,
+    ends,
     R: float,
     *,
     grid: int = N_ARC,
     angle_tol: float = ANGLE_TOL,
-) -> list[float]:
-    """Interior cut angles splitting the arc into an odd number of good arcs.
+) -> list[list[float]]:
+    """Interior cut angles splitting each arc into an odd number of good arcs.
 
-    March the first radius-R crossing repeatedly; a tail that never reaches
-    R is merged into the previous arc (erasing the last cut), and if the arc
-    count comes out even the first cut is erased.  Every resulting arc then
-    reaches R from its start, and the 4R spread bound holds with margin because marched arcs keep
-    all points within R of their start.
+    Arc k runs from ``starts[k]`` to ``ends[k]``; one list of cuts is
+    returned per arc.  Each arc marches the first radius-R crossing
+    repeatedly, all arcs in lockstep with one ``first_marker`` call per
+    step.  A tail that never reaches R is merged into the previous arc
+    (erasing the last cut), and if the arc count comes out even the first
+    cut is erased.  Every resulting arc then reaches R from its start, and
+    the 4R spread bound holds with margin because marched arcs keep all
+    points within R of their start.  An arc that never reaches R at all
+    raises ArcReachViolation, naming the lowest-index such arc.
     """
-    if end_angle - start_angle <= 0.0:
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    ends = np.atleast_1d(np.asarray(ends, dtype=float))
+    if np.any(ends - starts <= 0.0):
         raise ValueError("arc must have positive width")
-    pts = [start_angle]
+    pts = [[s] for s in starts.tolist()]
+    live = list(range(len(pts)))
     for _ in range(100000):
-        theta = first_marker(level, pts[-1], end_angle, R, grid=grid, angle_tol=angle_tol)
-        if theta is None:
-            if len(pts) == 1:
+        if not live:
+            break
+        thetas = first_marker(
+            level, [pts[i][-1] for i in live], ends[live], R, grid=grid, angle_tol=angle_tol
+        ).tolist()
+        still = []
+        for i, theta in zip(live, thetas):   # live is in index order
+            end = float(ends[i])
+            if math.isnan(theta) and len(pts[i]) == 1:
                 raise ArcReachViolation(
-                    f"arc [{start_angle:.6f}, {end_angle:.6f}] at radius {level.radius:g} "
+                    f"arc [{starts[i]:.6f}, {ends[i]:.6f}] at radius {level.radius:g} "
                     f"never reaches distance {R:g} from its start"
                 )
-            pts.pop()          # merge the short tail into the previous arc
-            pts.append(end_angle)
-            break
-        if end_angle - theta <= angle_tol:
-            pts.append(end_angle)
-            break
-        pts.append(theta)
-    else:
+            if math.isnan(theta):
+                pts[i][-1] = end       # merge the short tail into the previous arc
+            elif end - theta <= angle_tol:
+                pts[i].append(end)
+            else:
+                pts[i].append(theta)
+                still.append(i)
+        live = still
+    if live:
         raise RuntimeError("arc marching failed to terminate")
 
-    if (len(pts) - 1) % 2 == 0:
-        pts.pop(1)             # erase the first cut to make the count odd
-    return pts[1:-1]
+    for p in pts:
+        if (len(p) - 1) % 2 == 0:
+            p.pop(1)           # erase the first cut to make the count odd
+    return [p[1:-1] for p in pts]
 
 
 def _assemble(level: SphereLevel, angle_kind_pairs: list[tuple[float, str]]) -> ArcDecomposition:
@@ -276,8 +310,9 @@ def initial_decomposition(
         raise NegativeParameter("sphere step R must be positive")
     level = SphereLevel(index=1, radius=R, body=body, base=_read_only(as_point(o, 2)))
     try:
-        cuts1 = decompose_arc(level, theta0, theta0 + math.pi, R, grid=grid)
-        cuts2 = decompose_arc(level, theta0 + math.pi, theta0 + TWO_PI, R, grid=grid)
+        cuts1, cuts2 = decompose_arc(
+            level, [theta0, theta0 + math.pi], [theta0 + math.pi, theta0 + TWO_PI], R, grid=grid
+        )
     except ArcReachViolation as e:
         raise ArcReachViolation(f"level 1 with R={R:g}: {e}") from e
     ordered = [theta0, *cuts1, theta0 + math.pi, *cuts2]
@@ -306,26 +341,23 @@ def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDe
     marks = dec.markers
     M = len(marks)
     start = next(i for i, mk in enumerate(marks) if mk.kind == "Y")
+    walk = [marks[(start + j) % M] for j in range(M + 1)]
+    los = [mk.angle for mk in walk[:-1]]
+    his = [b.angle if b.angle > a.angle else b.angle + TWO_PI for a, b in zip(walk, walk[1:])]
+    try:
+        cut_lists = decompose_arc(upper, los, his, R, grid=grid)
+    except ArcReachViolation as e:
+        raise ArcReachViolation(
+            f"level {upper.index} with R={R:g}: lifted arc lost its reach ({e})"
+        ) from e
 
     new_pairs: list[tuple[float, str]] = []
     flip = {"X": "Y", "Y": "X"}
     kind = "X"                   # the lift of a Y marker opens the walk
-    for j in range(M):
-        i0 = (start + j) % M
-        i1 = (start + j + 1) % M
-        lo = marks[i0].angle
-        hi = marks[i1].angle
-        if hi <= lo:
-            hi += TWO_PI
-        if kind != flip[marks[i0].kind]:
+    for mk, cuts in zip(walk, cut_lists):
+        if kind != flip[mk.kind]:
             raise RuntimeError("internal: lifted marker kind does not alternate correctly")
-        try:
-            cuts = decompose_arc(upper, lo, hi, R, grid=grid)
-        except ArcReachViolation as e:
-            raise ArcReachViolation(
-                f"level {upper.index} with R={R:g}: lifted arc lost its reach ({e})"
-            ) from e
-        new_pairs.append((marks[i0].angle, kind))   # exact angle copy of the lift
+        new_pairs.append((mk.angle, kind))   # exact angle copy of the lift
         for c in cuts:
             kind = flip[kind]
             new_pairs.append((_norm_angle(c), kind))
@@ -455,29 +487,38 @@ class CoverPiece:
 
     def contains(self, t: float, theta: float, tol: float = 1e-9) -> bool:
         """Membership in radial coordinates (t, theta) about the base."""
-        if not (self.r_inner - tol <= t <= self.r_outer + tol):
-            return False
+        return bool(_in_sectors(t, theta, self.r_inner, self.r_outer,
+                                self.theta_start, self.width, self.level == 0, tol))
+
+    def sample_rays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Angles and radii of the boundary samples (arcs, then radial sides);
+        the count depends only on n."""
+        n_arc = max(4, n * 3 // 8)
+        n_side = max(2, (n - 2 * n_arc) // 2)
         if self.level == 0:
-            return True
-        off = _norm_angle(theta - self.theta_start)
-        return off <= self.width + tol or off >= TWO_PI - tol
+            total = 2 * (n_arc + 1) + 2 * n_side
+            thetas = self.theta_start + self.width * np.arange(total) / total
+            return thetas, np.full(total, self.r_outer)
+        thetas = self.theta_start + self.width * np.arange(n_arc + 1) / n_arc
+        ts = np.linspace(self.r_inner, self.r_outer, n_side + 2)[1:-1]
+        angles = np.concatenate([thetas, thetas, np.full(n_side, self.theta_start),
+                                 np.full(n_side, self.theta_end)])
+        radii = np.concatenate([np.full(n_arc + 1, self.r_inner),
+                                np.full(n_arc + 1, self.r_outer), ts, ts])
+        return angles, radii
 
     def boundary_samples(self, n: int) -> np.ndarray:
         """Boundary points (arcs and radial sides); the count depends only on n."""
-        field = SphereField(self.body, self.base)
-        n_arc = max(4, n * 3 // 8)
-        n_side = max(2, (n - 2 * n_arc) // 2)
-        total = 2 * (n_arc + 1) + 2 * n_side
-        if self.level == 0:
-            thetas = self.theta_start + self.width * np.arange(total) / total
-            return field.points(thetas, self.r_outer)
-        thetas = self.theta_start + self.width * np.arange(n_arc + 1) / n_arc
-        inner = field.points(thetas, self.r_inner)
-        outer = field.points(thetas, self.r_outer)
-        ts = np.linspace(self.r_inner, self.r_outer, n_side + 2)[1:-1]
-        side1 = field.points(np.full(ts.shape, self.theta_start), ts)
-        side2 = field.points(np.full(ts.shape, self.theta_end), ts)
-        return np.vstack([inner, outer, side1, side2])
+        return SphereField(self.body, self.base).points(*self.sample_rays(n))
+
+
+def _in_sectors(t, theta, r_inner, r_outer, theta_start, width, full, tol: float = 1e-9):
+    """Membership of radial coordinates (t, theta) in pieces with the given
+    bands, start angles and widths (``full``: the whole angle); broadcasts."""
+    off = np.fmod(theta - theta_start, TWO_PI)
+    off = np.where(off < 0.0, off + TWO_PI, off)
+    in_band = (r_inner - tol <= t) & (t <= r_outer + tol)
+    return in_band & (full | (off <= width + tol) | (off >= TWO_PI - tol))
 
 
 def build_cover(body: ConvexBody, o, R: float, levels: int, *, grid: int = N_ARC) -> list[CoverPiece]:
@@ -561,6 +602,15 @@ def multiplicity_probe(
     A piece is counted when the ball center lies inside it or within
     distance r of its sampled boundary, so the count is a lower bound for
     the true multiplicity and can only miss grazing contacts.
+
+    Trials run in chunks of ROW_BUDGET // len(pieces), each against the
+    pieces whose radial band lies within r of the trial radius.  A pair is
+    skipped without distance evaluation when 2 log1p(g / D) > r + 1e-9,
+    where g is the Euclidean distance from the center to the bounding box
+    of the piece's samples and D the body's Euclidean diameter: every
+    distance is log1p(rho / s_back) + log1p(rho / s_fwd) with Euclidean gap
+    rho >= g and exits s <= D, so no skipped sample lies within r.  The
+    rest are evaluated at most ROW_BUDGET distance rows per call.
     """
     if not pieces:
         raise ValueError("empty cover")
@@ -569,33 +619,47 @@ def multiplicity_probe(
     if not R > 4.0 * r:
         raise BadRadii(f"multiplicity probe requires R > 4r, got R={R:g}, r={r:g}")
     body = ball.body
-    base = ball.base
-    field = SphereField(body, base)
+    field = SphereField(body, ball.base)
 
-    samples = np.stack([p.boundary_samples(samples_per_piece) for p in pieces])
-    bands = np.array([[p.r_inner, p.r_outer] for p in pieces])
-    t_max = max(p.r_outer for p in pieces)
+    rays = [p.sample_rays(samples_per_piece) for p in pieces]
+    m = rays[0][0].size
+    samples = field.points(np.concatenate([a for a, _ in rays]),
+                           np.concatenate([t for _, t in rays])).reshape(len(pieces), m, 2)
+    box_lo, box_hi = samples.min(axis=1), samples.max(axis=1)
+    r_in = np.array([p.r_inner for p in pieces])
+    r_out = np.array([p.r_outer for p in pieces])
+    starts = np.array([p.theta_start for p in pieces])
+    widths = np.array([p.width for p in pieces])
+    full = np.array([p.level == 0 for p in pieces])
+    diameter = body.euclidean_diameter()
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, TWO_PI, trials)
-    ts = rng.uniform(0.0, t_max, trials)
+    ts = rng.uniform(0.0, r_out.max(), trials)
     centers = field.points(thetas, ts)
 
+    counts = np.zeros(trials, dtype=int)
+    chunk = max(1, ROW_BUDGET // len(pieces))
+    pairs_per_call = max(1, ROW_BUDGET // m)
+    for c in range(0, trials, chunk):
+        X, T, TH = centers[c:c + chunk], ts[c:c + chunk, None], thetas[c:c + chunk, None]
+        cand = (r_in - r - 1e-9 <= T) & (T <= r_out + r + 1e-9)
+        # d(x, y) >= 2 log1p(|x - y| / D) >= 2 log1p(gap / D) for each sample y of a piece
+        gap = np.linalg.norm(np.maximum(np.maximum(box_lo - X[:, None], X[:, None] - box_hi), 0.0),
+                             axis=2)
+        ti, pi = np.nonzero(cand & (2.0 * np.log1p(gap / diameter) <= r + 1e-9))
+        near = np.zeros(cand.shape, dtype=bool)
+        for k in range(0, ti.size, pairs_per_call):
+            a, b = ti[k:k + pairs_per_call], pi[k:k + pairs_per_call]
+            d = distance_pairs(body, np.repeat(X[a], m, axis=0), samples[b].reshape(-1, 2))
+            near[a, b] = d.reshape(-1, m).min(axis=1) <= r
+        inside = _in_sectors(T, TH, r_in, r_out, starts, widths, full)
+        counts[c:c + chunk] = np.count_nonzero(cand & (near | inside), axis=1)
+
     hist: dict[int, int] = {}
-    max_count = 0
-    m = samples.shape[1]
-    for x, t, theta in zip(centers, ts, thetas):
-        cand = np.nonzero((bands[:, 0] - r - 1e-9 <= t) & (t <= bands[:, 1] + r + 1e-9))[0]
-        count = 0
-        if cand.size:
-            block = samples[cand].reshape(-1, 2)
-            d = distance_pairs(body, np.broadcast_to(x, block.shape), block).reshape(cand.size, m)
-            near = d.min(axis=1) <= r
-            for local_i, pi in enumerate(cand):
-                if near[local_i] or pieces[pi].contains(t, theta):
-                    count += 1
+    for count in counts.tolist():
         hist[count] = hist.get(count, 0) + 1
-        max_count = max(max_count, count)
+    max_count = max(hist, default=0)
     return MultiplicityReport(
         r=float(r), R=float(R), trials=int(trials), seed=int(seed),
         max_count=max_count, histogram=hist, samples_per_piece=samples_per_piece,

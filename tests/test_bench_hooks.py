@@ -4,8 +4,9 @@
 such as ``SphereField.exits``) by name at run time, and
 ``perfbench/perlayer.py`` lists the spans each workload must record.  A
 simplification that deletes or renames one of them would only show up as
-a failed benchmark run; this catches it in the test suite.  The install
-patches ``hilbertgeom`` globally, so it runs in a subprocess.
+a failed benchmark run; this catches it in the test suite, as does a
+batched path that stops calling one of the names on the way.  The install
+patches ``hilbertgeom`` globally, so each check runs in a subprocess.
 """
 
 import json
@@ -25,16 +26,48 @@ need = sorted({n for names in perlayer.REQUIRED_CALLS.values() for n in names})
 print(json.dumps({"need": need, "missing": [n for n in need if n not in t.names]}))
 """
 
+# A small cover pipeline; every cover-deep name except the SVG renderer
+# must record calls on it.
+COVER_RUN = """
+import json
+import numpy as np
+import perlayer, tracer
+t = tracer.Tracer()
+t.install()
+from hilbertgeom import Disk, cover
+body, o = Disk((0.0, 0.0), 1.0), np.zeros(2)
+t.enabled = True
+decs = cover.refine_to_depth(body, o, 1.0, 3)
+pieces = cover.pieces_from_decompositions(body, o, 1.0, decs)
+cover.piece_diameter(pieces[1], 64)
+cover.multiplicity_probe(pieces, 0.2, 200, 0)
+t.enabled = False
+table = tracer.SpanTable(t)
+need = [n for n in perlayer.REQUIRED_CALLS["cover-deep"] if n != "svgout.render_cover"]
+print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) == 0]}))
+"""
 
-def test_tracer_registers_every_required_call():
+
+def _run(code: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "perfbench"), str(ROOT / "src")])
     done = subprocess.run(
-        [sys.executable, "-c", PROBE], cwd=ROOT, env=env,
+        [sys.executable, "-c", code], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    got = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_registers_every_required_call():
+    got = _run(PROBE)
     assert "cover.SphereField.exits" in got["need"]
     assert "metric.sphere_points" in got["need"]
     assert got["missing"] == []
+
+
+def test_cover_pipeline_calls_every_traced_name():
+    got = _run(COVER_RUN)
+    assert "cover.first_marker" in got["need"]
+    assert "cover.SphereField.exits" in got["need"]
+    assert got["uncalled"] == []

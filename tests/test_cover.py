@@ -19,8 +19,10 @@ import pytest
 
 from hilbertgeom import (
     build_cover,
+    decompose_arc,
     decomposition_audit,
     distance,
+    distance_pairs,
     first_marker,
     initial_decomposition,
     is_admissible_over,
@@ -33,13 +35,15 @@ from hilbertgeom import (
 from hilbertgeom.cover import (
     ArcDecomposition,
     Marker,
+    SphereField,
+    SphereLevel,
     arc_tolerance,
     footprint_diameter,
     initial_half_counts,
     pieces_from_decompositions,
     refinement_arc_counts,
 )
-from hilbertgeom.errors import BadRadii
+from hilbertgeom.errors import ArcReachViolation, BadRadii
 
 R = 1.0
 
@@ -66,13 +70,43 @@ def test_first_marker_is_the_first_crossing(unit_disk):
     dec = initial_decomposition(unit_disk, o, R)
     lvl = dec.level
     field = lvl.field()
-    theta = first_marker(lvl, 0.0, np.pi, R)
-    assert theta is not None
-    start = field.point(0.0, R)
+    (theta,) = first_marker(lvl, [0.0], [np.pi], R)
+    assert np.isfinite(theta)
+    start, cut = field.points([0.0, theta], R)
     # distance R at the cut, strictly below R just before it
-    assert field.dist_from(start, field.point(theta, R)[None])[0] == pytest.approx(R, abs=1e-6)
+    assert field.dist_from(start, cut[None])[0] == pytest.approx(R, abs=1e-6)
     probe = np.linspace(0.0, theta * 0.999, 200)
     assert field.dist_from(start, field.points(probe, R)).max() < R
+
+
+def test_first_marker_batch_matches_single_arcs(any_body):
+    o = any_body.interior_seed()
+    lvl = initial_decomposition(any_body, o, R).level
+    starts = np.arange(8) * np.pi / 4.0
+    ends = starts + np.pi * np.array([1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.01])
+    batch = first_marker(lvl, starts, ends, R)
+    single = np.concatenate([first_marker(lvl, [a], [b], R) for a, b in zip(starts, ends)])
+    assert np.isfinite(batch[0]) and np.isnan(batch[-1])  # the last arc is too short
+    assert np.array_equal(batch, single, equal_nan=True)
+
+
+def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk):
+    # with angle_tol=0 the bracket shrinks until its midpoint stops splitting it
+    o = np.zeros(2)
+    lvl = initial_decomposition(unit_disk, o, R).level
+    (theta,) = first_marker(lvl, [0.0], [np.pi], R, angle_tol=0.0)
+    assert np.isfinite(theta)
+    field = lvl.field()
+    start, cut = field.points([0.0, theta], R)
+    assert field.dist_from(start, cut[None])[0] == pytest.approx(R, abs=1e-9)
+
+
+def test_decompose_arc_names_the_first_arc_without_reach(unit_disk):
+    lvl = SphereLevel(index=1, radius=R, body=unit_disk, base=np.zeros(2))
+    starts = [0.0, 2.0, 4.0]
+    ends = [np.pi, 2.01, 4.01]   # arcs 1 and 2 are far too short to reach R
+    with pytest.raises(ArcReachViolation, match=r"arc \[2\.000000, 2\.010000\] at radius 1 "):
+        decompose_arc(lvl, starts, ends, R)
 
 
 def test_reach_and_spread_hold_on_all_levels(any_body):
@@ -187,6 +221,48 @@ def test_multiplicity_is_at_most_three(any_body):
     assert min(rep.histogram) >= 1  # every probe ball meets the cover
 
 
+def _reference_probe(pieces, r, trials, seed, m=32):
+    """Per-trial multiplicity loop without pruning: every band candidate's
+    samples are measured."""
+    ball = next(p for p in pieces if p.level == 0)
+    field = SphereField(ball.body, ball.base)
+    samples = np.stack([p.boundary_samples(m) for p in pieces])
+    bands = np.array([[p.r_inner, p.r_outer] for p in pieces])
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2.0 * np.pi, trials)
+    ts = rng.uniform(0.0, bands[:, 1].max(), trials)
+    hist = {}
+    for x, t, theta in zip(field.points(thetas, ts), ts, thetas):
+        cand = np.nonzero((bands[:, 0] - r - 1e-9 <= t) & (t <= bands[:, 1] + r + 1e-9))[0]
+        block = samples[cand].reshape(-1, 2)
+        d = distance_pairs(ball.body, np.broadcast_to(x, block.shape), block)
+        near = d.reshape(cand.size, -1).min(axis=1) <= r
+        count = sum(1 for k, i in enumerate(cand) if near[k] or pieces[i].contains(t, theta))
+        hist[count] = hist.get(count, 0) + 1
+    return hist
+
+
+def test_multiplicity_probe_matches_unpruned_loop(any_body):
+    pieces = build_cover(any_body, any_body.interior_seed(), R, 3)
+    rep = multiplicity_probe(pieces, 0.2, 600, seed=5)
+    assert rep.histogram == _reference_probe(pieces, 0.2, 600, seed=5)
+
+
+def test_distance_exceeds_the_pruning_bound(any_body):
+    # d(x, y) >= 2 log1p(|x - y| / D), the bound the probe prunes with
+    o = any_body.interior_seed()
+    pieces = build_cover(any_body, o, R, 3)
+    samples = np.vstack([p.boundary_samples(32) for p in pieces])
+    rng = np.random.default_rng(8)
+    n = 5000
+    centers = SphereField(any_body, o).points(rng.uniform(0.0, 2.0 * np.pi, n),
+                                              rng.uniform(0.0, 4.0 * R, n))
+    ys = samples[rng.integers(0, len(samples), n)]
+    d = distance_pairs(any_body, centers, ys)
+    bound = 2.0 * np.log1p(np.linalg.norm(centers - ys, axis=1) / any_body.euclidean_diameter())
+    assert np.all(d >= bound)
+
+
 def test_multiplicity_requires_small_balls(unit_disk):
     pieces = build_cover(unit_disk, np.zeros(2), R, 2)
     with pytest.raises(BadRadii):
@@ -216,3 +292,17 @@ def test_pieces_from_decompositions_matches_marker_counts(unit_disk):
     pieces = pieces_from_decompositions(unit_disk, o, R, decs)
     want = 1 + sum(len(d.x_markers()) for d in decs)
     assert len(pieces) == want
+
+
+@pytest.mark.parametrize("name, levels", [("square", 12), ("heptagon", 12), ("unit_disk", 10)])
+def test_deep_cover_keeps_every_bound(request, name, levels):
+    body = request.getfixturevalue(name)
+    o = body.interior_seed()
+    decs = refine_to_depth(body, o, R, levels)
+    assert all(c % 2 == 1 for c in initial_half_counts(decs[0]))
+    for lo_dec, up_dec in zip(decs, decs[1:]):
+        assert is_admissible_over(up_dec, lo_dec)
+        assert all(c % 2 == 1 for c in refinement_arc_counts(up_dec, lo_dec))
+    pieces = pieces_from_decompositions(body, o, R, decs)
+    assert max(piece_diameter(p, 64) for p in pieces) <= 10.0 * R + arc_tolerance(R)
+    assert multiplicity_probe(pieces, 0.2, 2000, seed=0).max_count <= 3
