@@ -132,6 +132,11 @@ class ConvexBody(ABC):
         out[gap > tol] = 1
         return out
 
+    def require_interior(self, P: np.ndarray, message: str) -> None:
+        """Raise ExteriorPoint unless every row of P classifies as interior."""
+        if np.any(self.classify_many(P) != -1):
+            raise ExteriorPoint(message)
+
     def contains_interior(self, P: np.ndarray) -> np.ndarray:
         return self.signed_gap(np.asarray(P, dtype=float)) < -self.boundary_tol()
 

@@ -45,19 +45,19 @@ from .cover import (
     multiplicity_probe,
     piece_diameter,
     pieces_from_decompositions,
-    ray_pair_distances,
     refine_to_depth,
     refinement_arc_counts,
 )
-from .errors import BadRadii, CollinearInput, GeometryError
+from . import sampling
+from .errors import BadRadii, DimensionUnsupported, GeometryError, SamplingExhausted
 from .metric import (
-    MODE_CONCURRENT,
     ball_boundary,
-    concurrency_defect,
+    concurrency_defects,
     distance,
     distance_pairs,
     projective_transfer_defect,
     ray_point,
+    ray_points,
     ray_spec,
     sphere_point,
 )
@@ -216,68 +216,124 @@ def _row(name: str, defect: float, tol: float, samples: int, note: str = "") -> 
     }
 
 
-def ray_monotonicity_defect(body: ConvexBody, rng: np.random.Generator) -> float:
-    """Largest decrease of d(l1(t), l2(t)) over one random s < t pair."""
-    o = sample_interior(body, 1, rng, clearance=0.02 * body.euclidean_diameter())[0]
-    while True:
-        th = rng.uniform(0.0, TWO_PI, 2)
-        if abs(math.remainder(th[0] - th[1], TWO_PI)) > 1e-3:
-            break
-    s = rng.uniform(0.05, 8.0)
-    t = s + rng.uniform(0.05, 4.0)
-    d = ray_pair_distances(body, o, th[0], th[1], np.array([s, t]))
-    return float(d[0] - d[1])
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    return V / np.linalg.norm(V, axis=1)[:, None]
 
 
-def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator) -> float:
-    """Concurrency/parallelism defect for one random equidistant pair.
+def _angle_rows(thetas: np.ndarray) -> np.ndarray:
+    return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+
+
+def _planar(body: ConvexBody) -> None:
+    if body.dimension != 2:
+        raise DimensionUnsupported("the asdim lemmas are planar")
+
+
+# The three asdim loops below draw their n instances one at a time, in the
+# order n calls of a one-instance loop would, then run all geometry on
+# arrays.  Each instance may be redrawn at most sampling._MAX_ROUNDS times.
+
+
+def ray_monotonicity_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Decrease of d(l1(t), l2(t)) from a random s to a random t > s, on n ray pairs."""
+    _planar(body)
+    budget = sampling._MAX_ROUNDS
+    diam = body.euclidean_diameter()
+    O, TH, ST = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
+    for k in range(n):
+        O[k] = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
+        for _ in range(budget + 1):
+            TH[k] = rng.uniform(0.0, TWO_PI, 2)
+            if abs(math.remainder(TH[k, 0] - TH[k, 1], TWO_PI)) > 1e-3:
+                break
+        else:
+            raise SamplingExhausted(f"no separated ray pair in {budget + 1} angle draws")
+        s = rng.uniform(0.05, 8.0)
+        ST[k] = s, s + rng.uniform(0.05, 4.0)
+
+    body.require_interior(O, "decomposition base point must be interior")
+    P, ts = np.repeat(O, 2, axis=0), ST.ravel()
+    L1 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 0], 2)), ts)
+    L2 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 1], 2)), ts)
+    d = distance_pairs(body, L1, L2).reshape(n, 2)
+    return d[:, 0] - d[:, 1]
+
+
+def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Concurrency/parallelism defects of n random equidistant pairs.
 
     Configurations whose three lines are nearly but not exactly parallel put
     the meeting point far away and amplify boundary rounding in the scatter,
-    so draws with pairwise direction cross below 1e-3 are rejected.
+    so draws with pairwise direction cross below 1e-3 are rejected.  Those
+    and collinear draws are known only after the geometry, so rejected
+    instances are refilled in rounds, in draw order, until n are accepted.
     """
+    _planar(body)
+    budget = sampling._MAX_ROUNDS
     diam = body.euclidean_diameter()
-    while True:
-        o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-        th = rng.uniform(0.0, TWO_PI, 2)
-        sep = abs(math.remainder(th[0] - th[1], TWO_PI))
-        if sep < 0.1 or abs(sep - math.pi) < 0.1:
-            continue
-        t = rng.uniform(0.2, 4.0)
-        a2 = sphere_point(body, o, th[0], t)
-        b2 = sphere_point(body, o, th[1], t)
-        try:
-            rep = concurrency_defect(body, o, a2, b2)
-        except CollinearInput:
-            continue
-        if rep.mode == MODE_CONCURRENT and rep.min_cross < 1e-3:
-            continue
-        return float(rep.defect)
+    out = np.empty(0)
+    for _ in range(budget + 1):
+        need = n - out.size
+        O, TH, T = np.empty((need, 2)), np.empty((need, 2)), np.empty(need)
+        for k in range(need):
+            for _ in range(budget + 1):
+                O[k] = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
+                TH[k] = rng.uniform(0.0, TWO_PI, 2)
+                sep = abs(math.remainder(TH[k, 0] - TH[k, 1], TWO_PI))
+                if sep >= 0.1 and abs(sep - math.pi) >= 0.1:
+                    break
+            else:
+                raise SamplingExhausted(f"no transversal ray pair in {budget + 1} draws")
+            T[k] = rng.uniform(0.2, 4.0)
+
+        body.require_interior(O, "ray base must be interior")
+        A2 = ray_points(body, O, _angle_rows(TH[:, 0]), T)
+        B2 = ray_points(body, O, _angle_rows(TH[:, 1]), T)
+        rep = concurrency_defects(body, O, A2, B2)
+        keep = ~rep.rejected & (rep.parallel | (rep.min_cross >= 1e-3))
+        out = np.concatenate([out, rep.defect[keep]])
+        if out.size == n:
+            return out
+    raise SamplingExhausted(f"concurrency instances still rejected after {budget + 1} rounds")
 
 
-def coray_projection_defect(body: ConvexBody, rng: np.random.Generator) -> float:
-    """d(lx(s), ly(s)) - 2 d(x,y) at one random co-ray parameter s."""
+def coray_projection_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
+    """d(lx(s), ly(s)) - 2 d(x,y) at a random co-ray parameter s, for n instances."""
+    _planar(body)
+    budget = sampling._MAX_ROUNDS
     diam = body.euclidean_diameter()
-    while True:
-        o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-        x = sample_interior(body, 1, rng)[0]
-        if np.linalg.norm(x - o) < 1e-3 * diam:
-            continue
-        r = rng.uniform(0.2, 2.0)
-        u = rng.normal(size=2)
-        y = ray_point(ray_spec(body, x, u), rng.uniform(0.1, 1.0) * r)
-        if np.linalg.norm(y - o) < 1e-3 * diam:
-            continue
-        dxy = distance(body, x, y)
-        dox = distance(body, o, x)
-        doy = distance(body, o, y)
-        if dox > doy:
-            x, y = y, x
-            dox, doy = doy, dox
-        s = rng.uniform(0.01, doy)
-        lx = ray_point(ray_spec(body, o, x - o), s)
-        ly = ray_point(ray_spec(body, o, y - o), s)
-        return float(distance(body, lx, ly) - 2.0 * dxy)
+    O, X, Y, V = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
+    for k in range(n):
+        for _ in range(budget + 1):
+            o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
+            x = sample_interior(body, 1, rng)[0]
+            if np.linalg.norm(x - o) < 1e-3 * diam:
+                continue
+            r = rng.uniform(0.2, 2.0)
+            u = rng.normal(size=2)
+            y = ray_point(ray_spec(body, x, u), rng.uniform(0.1, 1.0) * r)
+            if np.linalg.norm(y - o) >= 1e-3 * diam:
+                break
+        else:
+            raise SamplingExhausted(f"no separated co-ray triple in {budget + 1} draws")
+        O[k], X[k], Y[k] = o, x, y
+        # s = rng.uniform(0.01, d(o, y)) needs d(o, y): draw its unit variate
+        # here, in stream order, and scale it below (bit-identical to uniform)
+        V[k] = rng.random()
+
+    for P in (X, Y, O):
+        body.require_interior(P, "distance is defined for interior points only")
+    dxy = distance_pairs(body, X, Y)
+    dox = distance_pairs(body, O, X)
+    doy = distance_pairs(body, O, Y)
+    swap = (dox > doy)[:, None]
+    X, Y = np.where(swap, Y, X), np.where(swap, X, Y)
+    s = 0.01 + (np.maximum(dox, doy) - 0.01) * V
+    LX = ray_points(body, O, _unit_rows(X - O), s)
+    LY = ray_points(body, O, _unit_rows(Y - O), s)
+    for P in (LX, LY):
+        body.require_interior(P, "distance is defined for interior points only")
+    return distance_pairs(body, LX, LY) - 2.0 * dxy
 
 
 def footprint_defect(body: ConvexBody, o, rng: np.random.Generator,
@@ -430,16 +486,16 @@ def _suite_asdim(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
 
     rng = np.random.default_rng([seed, 41])
     rows.append(_row("ray_pair_monotonicity",
-                     max(ray_monotonicity_defect(body, rng) for _ in range(n)), tol, n))
+                     ray_monotonicity_defect(body, rng, n).max(), tol, n))
 
     rng = np.random.default_rng([seed, 42])
     rows.append(_row("equidistance_lines_concurrency",
-                     max(concurrency_scatter_defect(body, rng) for _ in range(n)), 1e-7, n,
+                     concurrency_scatter_defect(body, rng, n).max(), 1e-7, n,
                      note="conditioned on pairwise line cross >= 1e-3"))
 
     rng = np.random.default_rng([seed, 43])
     rows.append(_row("coray_projection_2r_bound",
-                     max(coray_projection_defect(body, rng) for _ in range(n)), tol, n))
+                     coray_projection_defect(body, rng, n).max(), tol, n))
 
     rng = np.random.default_rng([seed, 44])
     nf = max(10, n // 10)

@@ -666,16 +666,7 @@ def multiplicity_probe(
     )
 
 
-# -- ray comparison helpers (shared by verification suites) ------------------
-
-
-def ray_pair_distances(body: ConvexBody, o, theta1: float, theta2: float, ts: np.ndarray) -> np.ndarray:
-    """d(l1(t), l2(t)) along two unit-speed rays from o, for each t in ts."""
-    field = SphereField(body, o)
-    ts = np.asarray(ts, dtype=float)
-    P = field.points(np.full(ts.shape, float(theta1)), ts)
-    Q = field.points(np.full(ts.shape, float(theta2)), ts)
-    return distance_pairs(body, P, Q)
+# -- radial projection footprint (shared by verification suites) -------------
 
 
 def footprint_diameter(

@@ -38,12 +38,14 @@ from .bodies import (
 )
 from .errors import (
     BadOrder,
+    CoincidentPoints,
     CollinearInput,
     DimensionUnsupported,
     DistanceMismatch,
     ExteriorPoint,
     NegativeParameter,
     OffChord,
+    SamplingExhausted,
 )
 
 MODE_CONCURRENT = "concurrent"
@@ -220,6 +222,89 @@ class ConcurrencyReport:
     min_cross: float
 
 
+@dataclass(frozen=True)
+class ConcurrencyRows:
+    """Row-wise ``ConcurrencyReport`` fields of ``concurrency_defects``.
+
+    ``rejected`` marks rows that the one-row form refuses with
+    CollinearInput (o, a2, b2 collinear, or two paired chord endpoints
+    coincide); every other field is NaN there.  ``meeting`` is NaN on
+    parallel rows.
+    """
+
+    rejected: np.ndarray
+    parallel: np.ndarray
+    defect: np.ndarray
+    min_cross: np.ndarray
+    meeting: np.ndarray
+
+
+_LINE_PAIRS = ((0, 1), (0, 2), (1, 2))
+
+
+def concurrency_defects(body: ConvexBody, O, A2, B2) -> ConcurrencyRows:
+    """Equidistance-line check of ``concurrency_defect`` on rows of (m, 2) arrays.
+
+    The checks run in the one-row order: collinear rows are flagged, then
+    every other row must be interior (ExteriorPoint) with |d(o,a2) - d(o,b2)|
+    <= 1e-9 (DistanceMismatch) and a2, b2 apart from o (CoincidentPoints);
+    rows whose paired chord endpoints coincide are flagged, and the rest are
+    parallel when their smallest direction cross is below TAU_PAR.
+    """
+    if body.dimension != 2:
+        raise DimensionUnsupported("concurrency check is a planar construction")
+    O, A2, B2 = (np.atleast_2d(np.asarray(P, dtype=float)) for P in (O, A2, B2))
+    m = O.shape[0]
+    VA, VB = A2 - O, B2 - O
+    NA, NB = np.linalg.norm(VA, axis=1), np.linalg.norm(VB, axis=1)
+    rejected = np.abs(_cross2(VA, VB)) <= 1e-12 * (NA * NB)
+    live = np.flatnonzero(~rejected)
+    o, a, b = O[live], A2[live], B2[live]
+    for P in (o, a, b):
+        body.require_interior(P, "distance is defined for interior points only")
+    gap = np.abs(distance_pairs(body, o, a) - distance_pairs(body, o, b))
+    if np.any(gap > 1e-9):
+        first = float(gap[np.argmax(gap > 1e-9)])
+        raise DistanceMismatch(f"|d(o,a2) - d(o,b2)| = {first:.3e} exceeds 1e-9")
+    if np.any(NA[live] <= TAU_P) or np.any(NB[live] <= TAU_P):
+        raise CoincidentPoints("chord endpoints coincide within tolerance")
+
+    UA = VA[live] / NA[live, None]
+    UB = VB[live] / NB[live, None]
+    # tails behind o, the pair a2, b2, heads beyond a2 and b2
+    ends = [(o - body.ray_exit(o, -UA)[:, None] * UA, o - body.ray_exit(o, -UB)[:, None] * UB),
+            (a, b),
+            (a + body.ray_exit(a, UA)[:, None] * UA, b + body.ray_exit(b, UB)[:, None] * UB)]
+    D = [q - p for p, q in ends]
+    seps = np.stack([np.linalg.norm(d, axis=1) for d in D])
+    ok = np.all(seps > TAU_P, axis=0)
+    rejected[live[~ok]] = True
+    live = live[ok]
+    starts = [p[ok] for p, _ in ends]
+    dirs = [d[ok] / sep[ok, None] for d, sep in zip(D, seps)]
+
+    crosses = np.abs(np.stack([_cross2(dirs[i], dirs[j]) for i, j in _LINE_PAIRS]))
+    min_cross = crosses.min(axis=0)
+    # a genuinely parallel family has all three mismatches near zero;
+    # anything else left there is a violation and shows up in the defect
+    par = min_cross < TAU_PAR
+    defect = crosses.max(axis=0)
+    c = ~par
+    hits = []
+    for i, j in _LINE_PAIRS:
+        t = _cross2(starts[j][c] - starts[i][c], dirs[j][c]) / _cross2(dirs[i][c], dirs[j][c])
+        hits.append(starts[i][c] + t[:, None] * dirs[i][c])
+    defect[c] = np.max([np.linalg.norm(hits[i] - hits[j], axis=1) for i, j in _LINE_PAIRS], axis=0)
+
+    rows = ConcurrencyRows(rejected, np.zeros(m, dtype=bool), np.full(m, np.nan),
+                           np.full(m, np.nan), np.full((m, 2), np.nan))
+    rows.parallel[live] = par
+    rows.defect[live] = defect
+    rows.min_cross[live] = min_cross
+    rows.meeting[live[c]] = (hits[0] + hits[1] + hits[2]) / 3.0
+    return rows
+
+
 def concurrency_defect(body: ConvexBody, o, a2, b2) -> ConcurrencyReport:
     """Check that the three equidistance lines meet at one point or are parallel.
 
@@ -228,49 +313,17 @@ def concurrency_defect(body: ConvexBody, o, a2, b2) -> ConcurrencyReport:
     a3 and b1, b3.  The lines a1 b1, a2 b2, a3 b3 either meet at a single
     point outside the closed body or form a parallel family.  The defect is
     the scatter of the pairwise intersections (concurrent mode) or the
-    largest direction mismatch (parallel mode).
+    largest direction mismatch (parallel mode).  One row of
+    ``concurrency_defects``.
     """
-    if body.dimension != 2:
-        raise DimensionUnsupported("concurrency check is a planar construction")
-    po = as_point(o, 2)
-    pa = as_point(a2, 2)
-    pb = as_point(b2, 2)
-    va = pa - po
-    vb = pb - po
-    if abs(float(_cross2(va, vb))) <= 1e-12 * float(np.linalg.norm(va) * np.linalg.norm(vb)):
-        raise CollinearInput("o, a2, b2 must not be collinear")
-    da = distance(body, po, pa)
-    db = distance(body, po, pb)
-    if abs(da - db) > 1e-9:
-        raise DistanceMismatch(f"|d(o,a2) - d(o,b2)| = {abs(da - db):.3e} exceeds 1e-9")
-
-    ca = chord_through(body, po, pa)   # tail behind o, head beyond a2
-    cb = chord_through(body, po, pb)
-    ends = [(ca.tail, cb.tail), (pa, pb), (ca.head, cb.head)]
-    dirs = []
-    for p, q in ends:
-        sep = float(np.linalg.norm(np.asarray(q) - np.asarray(p)))
-        if sep <= TAU_P:
-            raise CollinearInput("degenerate configuration: paired chord endpoints coincide")
-        dirs.append((np.asarray(q) - np.asarray(p)) / sep)
-
-    crosses = [abs(float(_cross2(dirs[i], dirs[j]))) for i, j in ((0, 1), (0, 2), (1, 2))]
-    if min(crosses) < TAU_PAR:
-        # a genuinely parallel family has all three mismatches near zero;
-        # anything else left here is a violation and shows up in the defect
-        return ConcurrencyReport(MODE_PARALLEL, max(crosses), None, min(crosses))
-
-    pts = []
-    for (i, j), (pi, pj) in (((0, 1), (ends[0][0], ends[1][0])), ((0, 2), (ends[0][0], ends[2][0])), ((1, 2), (ends[1][0], ends[2][0]))):
-        hit = line_intersection(pi, dirs[i], pj, dirs[j])
-        pts.append(hit)
-    scatter = max(
-        float(np.linalg.norm(pts[0] - pts[1])),
-        float(np.linalg.norm(pts[0] - pts[2])),
-        float(np.linalg.norm(pts[1] - pts[2])),
-    )
-    meeting = (pts[0] + pts[1] + pts[2]) / 3.0
-    return ConcurrencyReport(MODE_CONCURRENT, scatter, _read_only(meeting), min(crosses))
+    rows = concurrency_defects(body, *(as_point(p, 2)[None, :] for p in (o, a2, b2)))
+    if rows.rejected[0]:
+        raise CollinearInput("o, a2, b2 are collinear or pair coincident chord endpoints")
+    if rows.parallel[0]:
+        return ConcurrencyReport(MODE_PARALLEL, float(rows.defect[0]), None,
+                                 float(rows.min_cross[0]))
+    return ConcurrencyReport(MODE_CONCURRENT, float(rows.defect[0]),
+                             _read_only(rows.meeting[0]), float(rows.min_cross[0]))
 
 
 def projective_transfer_defect(rng: np.random.Generator) -> float:
@@ -281,9 +334,12 @@ def projective_transfer_defect(rng: np.random.Generator) -> float:
     parallel direction for the rest.  Returns |source cr - target cr|;
     a perspective map preserves the cross-ratio, so this measures only
     numerical error.  Ill-conditioned draws (grazing projections, huge
-    cross-ratios) are rejected and redrawn.
+    cross-ratios) are rejected and redrawn, at most ``sampling._MAX_ROUNDS``
+    times before SamplingExhausted.
     """
-    while True:
+    from . import sampling  # sampling imports this module, so bind the budget late
+
+    for _ in range(sampling._MAX_ROUNDS + 1):
         pA = rng.uniform(-1.0, 1.0, 2)
         dA = rng.normal(size=2)
         dA /= np.linalg.norm(dA)
@@ -324,3 +380,5 @@ def projective_transfer_defect(rng: np.random.Generator) -> float:
         if not (1e-2 < cr_dst < 1e2):
             continue
         return abs(cr_src - cr_dst)
+    raise SamplingExhausted(
+        f"no well-conditioned perspective configuration in {sampling._MAX_ROUNDS + 1} draws")

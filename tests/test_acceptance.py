@@ -211,14 +211,11 @@ def test_criterion_6_ray_projection_bounds():
     worst_mono = worst_conc = worst_coray = -np.inf
     for name, body in four_bodies():
         rng = np.random.default_rng(6)
-        worst_mono = max(worst_mono,
-                         max(ray_monotonicity_defect(body, rng) for _ in range(1000)))
+        worst_mono = max(worst_mono, ray_monotonicity_defect(body, rng, 1000).max())
         rng = np.random.default_rng(60)
-        worst_conc = max(worst_conc,
-                         max(concurrency_scatter_defect(body, rng) for _ in range(1000)))
+        worst_conc = max(worst_conc, concurrency_scatter_defect(body, rng, 1000).max())
         rng = np.random.default_rng(61)
-        worst_coray = max(worst_coray,
-                          max(coray_projection_defect(body, rng) for _ in range(1000)))
+        worst_coray = max(worst_coray, coray_projection_defect(body, rng, 1000).max())
     ok = worst_mono <= 1e-9 and worst_conc <= 1e-7 and worst_coray <= 1e-9
     report(6, ok, f"ray bounds: monotonicity {worst_mono:.2e}, "
                   f"concurrency {worst_conc:.2e}, 2r bound {worst_coray:.2e}")

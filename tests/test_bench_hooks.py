@@ -47,6 +47,30 @@ need = [n for n in perlayer.REQUIRED_CALLS["cover-deep"] if n != "svgout.render_
 print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) == 0]}))
 """
 
+# Every suite at a small sample count on three bench bodies, plus the
+# coarse suite on the halfspace square; every verify-suites name must
+# record calls on it.
+VERIFY_RUN = """
+import io, json, sys, tempfile
+from contextlib import redirect_stdout
+import perlayer, tracer
+t = tracer.Tracer()
+t.install()
+from hilbertgeom import cli
+runs = [(b, "all") for b in ("disk", "ellipse", "square")] + [("square_halfspaces", "coarse")]
+codes = []
+t.enabled = True
+with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
+    for b, suite in runs:
+        codes.append(cli.main(["verify", "--body", f"perfbench/bodies/{b}.json", "--suite", suite,
+                               "--samples", "20", "--out", out]))
+t.enabled = False
+table = tracer.SpanTable(t)
+need = perlayer.REQUIRED_CALLS["verify-suites"]
+print(json.dumps({"codes": codes, "need": need,
+                  "uncalled": [n for n in need if table.calls(n) == 0]}))
+"""
+
 
 def _run(code: str) -> dict:
     env = dict(os.environ)
@@ -70,4 +94,13 @@ def test_cover_pipeline_calls_every_traced_name():
     got = _run(COVER_RUN)
     assert "cover.first_marker" in got["need"]
     assert "cover.SphereField.exits" in got["need"]
+    assert got["uncalled"] == []
+
+
+def test_verify_suites_call_every_traced_name():
+    got = _run(VERIFY_RUN)
+    assert got["codes"] == [0, 0, 0, 0]
+    for name in ("cli.concurrency_scatter_defect", "metric.distance",
+                 "bodies.chord_through", "metric.ray_spec"):
+        assert name in got["need"]
     assert got["uncalled"] == []

@@ -21,6 +21,7 @@ from hilbertgeom import (
     boundary_hit_bisect,
     chord_through,
     concurrency_defect,
+    concurrency_defects,
     cross_ratio,
     distance,
     distance_pairs,
@@ -255,3 +256,22 @@ def test_concurrency_rejects_collinear_and_mismatched(unit_disk):
         concurrency_defect(unit_disk, (0, 0), (0.4, 0), (-0.4, 0))
     with pytest.raises(DistanceMismatch):
         concurrency_defect(unit_disk, (0, 0), (0.4, 0), (0.0, 0.5))
+
+
+def test_concurrency_rows_match_one_row_calls(any_body):
+    # two equidistant pairs and a collinear triple, in one call and one at a time
+    o = any_body.interior_seed()
+    a2 = sphere_point(any_body, o, 0.3, 1.2)
+    rows = [(o, a2, sphere_point(any_body, o, 1.9, 1.2)),
+            (o, a2, sphere_point(any_body, o, 2.4, 1.2)),
+            (o, a2, o + 0.5 * (o - a2))]
+    got = concurrency_defects(any_body, *(np.array(col) for col in zip(*rows)))
+    assert got.rejected.tolist() == [False, False, True]
+    with pytest.raises(CollinearInput):
+        concurrency_defect(any_body, *rows[2])
+    for k, row in enumerate(rows[:2]):
+        rep = concurrency_defect(any_body, *row)
+        assert got.parallel[k] == (rep.mode == MODE_PARALLEL)
+        assert got.defect[k] == pytest.approx(rep.defect, abs=1e-12)
+        assert got.min_cross[k] == pytest.approx(rep.min_cross, abs=1e-12)
+    assert np.isnan(got.defect[2]) and np.isnan(got.meeting[2]).all()
