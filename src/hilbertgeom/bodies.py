@@ -4,18 +4,24 @@ A body is an open bounded convex subset of R^n given in one of four forms:
 a strictly convex polygon (2-D, counterclockwise vertices), an ellipsoid,
 a Euclidean ball, or an intersection of halfspaces.  Everything downstream
 (the projective metric, sphere decompositions, probes) only talks to bodies
-through three primitives:
+through four primitives:
 
 * ``signed_gap``     negative inside, about zero on the boundary,
 * ``ray_exit``       length to the boundary along a unit direction,
+* ``pair_rates``     the two chord terms of the Hilbert distance of a pair,
 * ``bounding_box``   a covering axis-aligned box.
 
 ``ray_exit`` is exact (closed form) for every kind.  Polygons and halfspace
-intersections share one formula in their constraint slacks
-``s_i(p) = b_i - n_i . p``: the exit along unit ``u`` is
-``1 / max_i (n_i . u / s_i(p))``.  A generic bisection oracle on
-``signed_gap`` is exposed as ``boundary_hit_bisect`` to cross-check the
-closed forms.
+intersections share one kernel in their constraint slacks
+``s_i(p) = b_i - n_i . p``, held constraint-major, shape (constraints,
+rows), so every per-row min and max runs over axis 0.  The exit along unit
+``u`` is ``1 / max_i (n_i . u / s_i(p))``, and ``pair_rates`` uses the Funk
+pair form ``d(x, y) = F(x, y) + F(y, x)``: with ``G = N (y - x)``,
+``d(x, y) = log1p(max_i (-G_i) / s_i(x)) + log1p(max_i G_i / s_i(y))``,
+which forms no exit length and is bit-exactly symmetric.  Other kinds
+take ``pair_rates`` from two ``ray_exit`` calls.  A generic bisection
+oracle on ``signed_gap`` is exposed as ``boundary_hit_bisect`` to
+cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -110,6 +116,19 @@ class ConvexBody(ABC):
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Covering axis-aligned box as (lower, upper) corner arrays."""
 
+    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rho/s_back, rho/s_fwd)`` for rows of distinct interior (m, n) arrays.
+
+        ``rho = |x - y|``; ``s_back`` is the exit length behind x (away from
+        y) and ``s_fwd`` the one beyond y, so
+        ``d(x, y) = log1p(rho/s_back) + log1p(rho/s_fwd)``.  This default
+        takes two ``ray_exit`` calls.
+        """
+        diff = X - Y
+        r = np.linalg.norm(diff, axis=1)
+        U = diff / r[:, None]
+        return r / self.ray_exit(X, U), r / self.ray_exit(Y, -U)
+
     @abstractmethod
     def interior_seed(self) -> np.ndarray:
         """Some point well inside the body."""
@@ -158,32 +177,60 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _slacks(N: np.ndarray, b: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Constraint slacks ``s_i(p) = b_i - n_i . p``, constraint-major.
+
+    Shape (constraints, rows), so per-row reductions run over axis 0 along
+    contiguous rows.  ``out`` is filled in place when given.
+    """
+    S = np.matmul(N, np.atleast_2d(P).T, out=out)
+    np.subtract(b[:, None], S, out=S)
+    return S
+
+
 def _constraint_gap(N: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Largest constraint violation ``max_i (n_i . p - b_i)`` per row of P."""
-    G = np.atleast_2d(P) @ N.T
-    G -= b
-    return G.max(axis=1)
+    return -_slacks(N, b, P).min(axis=0)
 
 
 def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Exit lengths from rows of P along unit rows of U for ``N x <= b``.
 
-    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))`` with slacks
-    ``s_i(p) = b_i - n_i . p``.  Computed in place: one (m, constraints)
-    buffer for the slacks and one for the ratios.
+    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))``.  Two (constraints,
+    rows) buffers: the slacks and the ratios.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    U = np.atleast_2d(np.asarray(U, dtype=float))
-    S = P @ N.T
-    np.subtract(b, S, out=S)
-    if not np.all(S.min(axis=1) > 0.0):
+    S = _slacks(N, b, P)
+    if not np.all(S.min(axis=0) > 0.0):
         raise ExteriorBase("ray base is not interior to the constraints")
-    G = U @ N.T
+    G = N @ np.atleast_2d(U).T
     np.divide(G, S, out=G)
-    rate = G.max(axis=1)
+    rate = G.max(axis=0)
     if not np.all(rate > 0.0):
         raise ExteriorBase("ray does not exit the body")
     return 1.0 / rate
+
+
+def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
+    """``pair_rates`` for ``N x <= b`` on (m, n) arrays: the Funk pair form.
+
+    With ``G = N (Y - X)^T``, row k gives ``rho/s_back = max_i (-G_i) / s_i(x)``
+    and ``rho/s_fwd = max_i G_i / s_i(y)``, so no exit length, norm or unit
+    direction is formed.  Swapping X and Y negates G exactly, which swaps
+    the two rates bit for bit.  Two (constraints, rows) buffers: G, and the
+    slacks of Y and then of X, divided in place.
+    """
+    G = N @ (Y - X).T
+    S = _slacks(N, b, Y)
+    if not np.all(S.min(axis=0) > 0.0):
+        raise ExteriorBase("pair point is not interior to the constraints")
+    fwd = np.divide(G, S, out=S).max(axis=0)
+    _slacks(N, b, X, out=S)
+    if not np.all(S.min(axis=0) > 0.0):
+        raise ExteriorBase("pair point is not interior to the constraints")
+    back = -np.divide(G, S, out=S).min(axis=0)
+    if not (np.all(back > 0.0) and np.all(fwd > 0.0)):
+        raise ExteriorBase("chord does not exit the body")
+    return back, fwd
 
 
 class Polygon(ConvexBody):
@@ -237,6 +284,9 @@ class Polygon(ConvexBody):
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
         return _constraint_exit(self._normals, self._offsets, P, U)
+
+    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _constraint_pairs(self._normals, self._offsets, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
@@ -446,6 +496,9 @@ class HalfspacePolytope(ConvexBody):
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
         return _constraint_exit(self._normals, self._offsets, P, U)
+
+    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _constraint_pairs(self._normals, self._offsets, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self._box

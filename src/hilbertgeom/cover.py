@@ -30,6 +30,7 @@ import numpy as np
 
 from .bodies import ConvexBody, Region, as_point, classify, _read_only
 from .errors import (
+    ArcMarchExhausted,
     ArcReachViolation,
     BadRadii,
     DegenerateRay,
@@ -50,6 +51,8 @@ MAX_HALVINGS = 64
 ROW_BUDGET = 4096
 # pairwise sample count for sampled arc/piece diameters
 N_DIAM = 128
+# cap on first-marker steps per decompose_arc call
+MAX_MARCH_STEPS = 100000
 
 
 def arc_tolerance(R: float) -> float:
@@ -243,7 +246,8 @@ def decompose_arc(
     cut is erased.  Every resulting arc then reaches R from its start, and
     the 4R spread bound holds with margin because marched arcs keep all
     points within R of their start.  An arc that never reaches R at all
-    raises ArcReachViolation, naming the lowest-index such arc.
+    raises ArcReachViolation, naming the lowest-index such arc.  Arcs still
+    open after MAX_MARCH_STEPS steps raise ArcMarchExhausted.
     """
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
@@ -251,7 +255,7 @@ def decompose_arc(
         raise ValueError("arc must have positive width")
     pts = [[s] for s in starts.tolist()]
     live = list(range(len(pts)))
-    for _ in range(100000):
+    for _ in range(MAX_MARCH_STEPS):
         if not live:
             break
         thetas = first_marker(
@@ -274,7 +278,10 @@ def decompose_arc(
                 still.append(i)
         live = still
     if live:
-        raise RuntimeError("arc marching failed to terminate")
+        raise ArcMarchExhausted(
+            f"{len(live)} arc(s) at radius {level.radius:g} still open after "
+            f"{MAX_MARCH_STEPS} marching steps"
+        )
 
     for p in pts:
         if (len(p) - 1) % 2 == 0:

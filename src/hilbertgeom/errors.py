@@ -76,6 +76,10 @@ class ArcReachViolation(GeometryError):
     """Arc does not contain a point at the required distance from its start."""
 
 
+class ArcMarchExhausted(GeometryError):
+    """Arc marching took more steps than its cap without reaching the arc end."""
+
+
 class DegenerateRay(GeometryError):
     """Ray direction cannot be derived because the two points coincide."""
 

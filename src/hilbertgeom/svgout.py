@@ -33,25 +33,25 @@ class Frame:
         self.cx = 0.5 * (lo[0] + hi[0])
         self.cy = 0.5 * (lo[1] + hi[1])
 
-    def map(self, p) -> tuple[float, float]:
-        x = VIEW / 2.0 + (p[0] - self.cx) * self.scale
-        y = VIEW / 2.0 - (p[1] - self.cy) * self.scale
-        return x, y
-
-    def pts(self, P: np.ndarray) -> str:
-        return " ".join("%.6f,%.6f" % self.map(p) for p in P)
+    def coords(self, P) -> np.ndarray:
+        """Viewport coordinates of the rows of P, as an (m, 2) array."""
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        return np.stack([VIEW / 2.0 + (P[:, 0] - self.cx) * self.scale,
+                         VIEW / 2.0 - (P[:, 1] - self.cy) * self.scale], axis=1)
 
 
-def _polyline(frame: Frame, P: np.ndarray, color: str, width: float, closed: bool) -> str:
+def _polyline(C: np.ndarray, color: str, width: float, closed: bool) -> str:
+    """Polyline element through viewport coordinates C, formatted in one pass."""
     tag = "polygon" if closed else "polyline"
+    pts = " ".join(["%.6f,%.6f"] * len(C)) % tuple(C.ravel().tolist())
     return (
-        f'<{tag} points="{frame.pts(P)}" fill="none" '
+        f'<{tag} points="{pts}" fill="none" '
         f'stroke="{color}" stroke-width="{width:.6f}"/>'
     )
 
 
 def _dot(frame: Frame, p, color: str, radius: float) -> str:
-    x, y = frame.map(p)
+    x, y = frame.coords(p)[0]
     return f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{radius:.6f}" fill="{color}"/>'
 
 
@@ -72,7 +72,7 @@ def _frame_for(body: ConvexBody) -> tuple[Frame, np.ndarray]:
 
 def render_body(body: ConvexBody) -> str:
     frame, outline = _frame_for(body)
-    return _document([_polyline(frame, outline, "#000000", 2.0, True)])
+    return _document([_polyline(frame.coords(outline), "#000000", 2.0, True)])
 
 
 def fmt6(v: float) -> str:
@@ -90,38 +90,47 @@ def render_ball(body: ConvexBody, ball_points: np.ndarray, center) -> str:
     pts = np.asarray(ball_points, dtype=float)
     lines = [
         coord_header("ball-samples", pts),
-        _polyline(frame, outline, "#000000", 2.0, True),
-        _polyline(frame, pts, PALETTE[0], 1.5, True),
+        _polyline(frame.coords(outline), "#000000", 2.0, True),
+        _polyline(frame.coords(pts), PALETTE[0], 1.5, True),
         _dot(frame, center, PALETTE[1], 3.0),
     ]
     return _document(lines)
 
 
 def render_cover(body: ConvexBody, pieces: list[CoverPiece], arc_samples: int = 256) -> str:
+    """Each piece's outer arc and, off level 0, its two radial sides.
+
+    One ``SphereField.points`` call per piece gives all its polyline
+    points, mapped to the viewport together.
+    """
     frame, outline = _frame_for(body)
-    lines = [_polyline(frame, outline, "#000000", 2.0, True)]
-    if pieces:
-        field = SphereField(body, pieces[0].base)
-        lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
-        for p in pieces:
-            # pieces are colored by level parity so neighbours contrast
-            color = PALETTE[p.level % 2]
-            if p.level == 0:
-                thetas = p.width * np.arange(arc_samples + 1) / arc_samples
-                lines.append(_polyline(frame, field.points(thetas, p.r_outer), color, 1.5, False))
-                continue
-            thetas = p.theta_start + p.width * np.arange(arc_samples + 1) / arc_samples
-            lines.append(_polyline(frame, field.points(thetas, p.r_outer), color, 1.5, False))
-            ts = np.linspace(p.r_inner, p.r_outer, 16)
-            for th in (p.theta_start, p.theta_end):
-                side = field.points(np.full(ts.shape, th % TWO_PI if th >= TWO_PI else th), ts)
-                lines.append(_polyline(frame, side, color, 1.0, False))
+    lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
+    if not pieces:
+        return _document(lines)
+    field = SphereField(body, pieces[0].base)
+    lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
+    steps = np.arange(arc_samples + 1)
+    k = steps.size
+    for p in pieces:
+        # pieces are colored by level parity so neighbours contrast
+        color = PALETTE[p.level % 2]
+        if p.level == 0:
+            arc = field.points(p.width * steps / arc_samples, p.r_outer)
+            lines.append(_polyline(frame.coords(arc), color, 1.5, False))
+            continue
+        side = np.linspace(p.r_inner, p.r_outer, 16)
+        ends = [th % TWO_PI if th >= TWO_PI else th for th in (p.theta_start, p.theta_end)]
+        thetas = np.concatenate([p.theta_start + p.width * steps / arc_samples, np.repeat(ends, 16)])
+        C = frame.coords(field.points(thetas, np.concatenate([np.full(k, p.r_outer), side, side])))
+        lines += [_polyline(C[:k], color, 1.5, False),
+                  _polyline(C[k:k + 16], color, 1.0, False),
+                  _polyline(C[k + 16:], color, 1.0, False)]
     return _document(lines)
 
 
 def render_packing(body: ConvexBody, points: np.ndarray, center) -> str:
     frame, outline = _frame_for(body)
-    lines = [_polyline(frame, outline, "#000000", 2.0, True)]
+    lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
     lines.append(_dot(frame, center, PALETTE[1], 4.0))
     for p in np.asarray(points, dtype=float):
         lines.append(_dot(frame, p, PALETTE[0], 2.5))

@@ -71,6 +71,34 @@ print(json.dumps({"codes": codes, "need": need,
                   "uncalled": [n for n in need if table.calls(n) == 0]}))
 """
 
+# Small calls of every batch-kernels operation on the bench bodies, with
+# packing and contraction on the planar ones only (3-D ball sampling is a
+# documented limit); every batch-kernels name must record calls on it.
+KERNEL_RUN = """
+import json
+import numpy as np
+import perlayer, tracer
+t = tracer.Tracer()
+t.install()
+import hilbertgeom as hg
+t.enabled = True
+for k, b in enumerate(("disk", "ellipse", "square", "gon64", "square_halfspaces",
+                       "cube_halfspaces", "ellipsoid3")):
+    body = hg.load_body(f"perfbench/bodies/{b}.json")
+    o = body.interior_seed()
+    rng = np.random.default_rng(k)
+    X, Y = hg.sample_interior(body, 200, rng), hg.sample_interior(body, 200, rng)
+    hg.distance_pairs(body, X, Y)
+    if body.dimension == 2:
+        hg.greedy_packing(body, o, 2.0, 0.25, 500, 0)
+        hg.verify_contraction(body, o, 2.0, o, 1.0, 500, 0)
+        hg.corona_probe(body, o, 0.05, 1.0, (2.0, 4.0), 500, 0)
+t.enabled = False
+table = tracer.SpanTable(t)
+need = perlayer.REQUIRED_CALLS["batch-kernels"]
+print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) == 0]}))
+"""
+
 
 def _run(code: str) -> dict:
     env = dict(os.environ)
@@ -102,5 +130,13 @@ def test_verify_suites_call_every_traced_name():
     assert got["codes"] == [0, 0, 0, 0]
     for name in ("cli.concurrency_scatter_defect", "metric.distance",
                  "bodies.chord_through", "metric.ray_spec"):
+        assert name in got["need"]
+    assert got["uncalled"] == []
+
+
+def test_batch_kernels_call_every_traced_name():
+    got = _run(KERNEL_RUN)
+    for name in ("bodies.ray_exit.polygon", "bodies.ray_exit.polytope",
+                 "bodies.construct.polytope", "metric.distance_pairs"):
         assert name in got["need"]
     assert got["uncalled"] == []

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from hilbertgeom import (
     Chord,
+    ConvexBody,
     Disk,
     Ellipsoid,
     HalfspacePolytope,
@@ -17,6 +19,7 @@ from hilbertgeom import (
     distance,
     distance_pairs,
     is_strictly_convex,
+    sample_interior,
     validate_body,
 )
 from hilbertgeom.errors import (
@@ -215,3 +218,87 @@ def test_three_dimensional_ball_distance():
     b = Disk((0, 0, 0), 1.0)
     # same Klein-model chord as the planar disk, embedded along the x axis
     assert distance(b, (0, 0, 0), (0.5, 0, 0)) == pytest.approx(np.log(3.0), abs=1e-12)
+
+
+# -- the constraint pair kernel ----------------------------------------------
+
+
+def _regular_gon(k: int) -> Polygon:
+    a = 2.0 * np.pi * np.arange(k) / k
+    return Polygon(np.c_[np.cos(a), np.sin(a)])
+
+
+@pytest.fixture(params=["square", "heptagon", "gon64", "square_polytope", "cube_polytope"])
+def constraint_body(request, square, heptagon, square_polytope):
+    return {
+        "square": lambda: square,
+        "heptagon": lambda: heptagon,
+        "gon64": lambda: _regular_gon(64),
+        "square_polytope": lambda: square_polytope,
+        "cube_polytope": lambda: HalfspacePolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
+    }[request.param]()
+
+
+def _pair_distance(rates) -> np.ndarray:
+    back, fwd = rates
+    return np.log1p(back) + np.log1p(fwd)
+
+
+def _max_rel_gap(body, X, Y) -> float:
+    fast = _pair_distance(body.pair_rates(X, Y))
+    ref = _pair_distance(ConvexBody.pair_rates(body, X, Y))
+    return float(np.max(np.abs(fast - ref) / ref))
+
+
+def test_constraint_pair_rates_match_two_exit_default(constraint_body):
+    # The Funk pair form rounds fewer times than the two-exit default (no
+    # norm, unit direction or reciprocal), so the gap measures both forms'
+    # rounding; on the heptagon it reaches about 5e-15 over seeds 0-19.
+    rng = np.random.default_rng(0)
+    X = sample_interior(constraint_body, 20000, rng)
+    Y = sample_interior(constraint_body, 20000, rng)
+    assert _max_rel_gap(constraint_body, X, Y) <= 8e-15
+    X = sample_interior(constraint_body, 2000, rng, clearance=1e-6)
+    U = rng.normal(size=X.shape)
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    assert _max_rel_gap(constraint_body, X, X + 1e-9 * U) <= 8e-15
+
+
+def test_constraint_distance_pairs_symmetry_is_bit_exact(constraint_body):
+    rng = np.random.default_rng(1)
+    X = sample_interior(constraint_body, 5000, rng)
+    Y = sample_interior(constraint_body, 5000, rng)
+    assert np.array_equal(distance_pairs(constraint_body, X, Y), distance_pairs(constraint_body, Y, X))
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_constraint_pair_rates_reject_exterior_rows(constraint_body, side):
+    rng = np.random.default_rng(2)
+    X = sample_interior(constraint_body, 50, rng)
+    Y = sample_interior(constraint_body, 50, rng)
+    lo, hi = constraint_body.bounding_box()
+    (X if side == "x" else Y)[17] = hi + (hi - lo)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ExteriorBase):
+            constraint_body.pair_rates(X, Y)
+        with pytest.raises(ExteriorBase):
+            distance_pairs(constraint_body, X, Y)
+
+
+def test_constraint_pairs_hold_two_buffers():
+    # G and one slack buffer of (constraints, rows) floats; a third buffer
+    # would take the peak to 3 of them
+    body = _regular_gon(64)
+    rng = np.random.default_rng(3)
+    m = 100_000
+    X = sample_interior(body, m, rng)
+    Y = sample_interior(body, m, rng)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        distance_pairs(body, X, Y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 64 * m * 8

@@ -264,6 +264,45 @@ def test_render_cover_colors_by_level_parity(unit_disk):
     ET.fromstring(svg)
 
 
+def _render_cover_per_polyline(body, pieces, arc_samples=256):
+    """The per-piece renderer: one sphere-point call and one formatting
+    loop per polyline.  Reference for the batched ``render_cover``."""
+    from hilbertgeom.cover import TWO_PI, SphereField
+    from hilbertgeom.svgout import PALETTE, VIEW, _document, _dot, _frame_for
+
+    frame, outline = _frame_for(body)
+
+    def polyline(P, color, width, closed):
+        pts = " ".join("%.6f,%.6f" % (VIEW / 2.0 + (p[0] - frame.cx) * frame.scale,
+                                      VIEW / 2.0 - (p[1] - frame.cy) * frame.scale) for p in P)
+        tag = "polygon" if closed else "polyline"
+        return f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="{width:.6f}"/>'
+
+    lines = [polyline(outline, "#000000", 2.0, True)]
+    field = SphereField(body, pieces[0].base)
+    lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
+    for p in pieces:
+        color = PALETTE[p.level % 2]
+        if p.level == 0:
+            thetas = p.width * np.arange(arc_samples + 1) / arc_samples
+            lines.append(polyline(field.points(thetas, p.r_outer), color, 1.5, False))
+            continue
+        thetas = p.theta_start + p.width * np.arange(arc_samples + 1) / arc_samples
+        lines.append(polyline(field.points(thetas, p.r_outer), color, 1.5, False))
+        ts = np.linspace(p.r_inner, p.r_outer, 16)
+        for th in (p.theta_start, p.theta_end):
+            side = field.points(np.full(ts.shape, th % TWO_PI if th >= TWO_PI else th), ts)
+            lines.append(polyline(side, color, 1.0, False))
+    return _document(lines)
+
+
+def test_render_cover_matches_per_polyline_reference(any_body):
+    from hilbertgeom import build_cover
+
+    pieces = build_cover(any_body, any_body.interior_seed(), 1.0, 4)
+    assert render_cover(any_body, pieces) == _render_cover_per_polyline(any_body, pieces)
+
+
 def test_render_body_outline_closed(unit_disk):
     svg = render_body(unit_disk)
     assert "<polygon" in svg or "<polyline" in svg

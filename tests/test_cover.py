@@ -43,7 +43,9 @@ from hilbertgeom.cover import (
     pieces_from_decompositions,
     refinement_arc_counts,
 )
-from hilbertgeom.errors import ArcReachViolation, BadRadii
+from hilbertgeom import cover
+from hilbertgeom.cli import main
+from hilbertgeom.errors import ArcMarchExhausted, ArcReachViolation, BadRadii
 
 R = 1.0
 
@@ -107,6 +109,20 @@ def test_decompose_arc_names_the_first_arc_without_reach(unit_disk):
     ends = [np.pi, 2.01, 4.01]   # arcs 1 and 2 are far too short to reach R
     with pytest.raises(ArcReachViolation, match=r"arc \[2\.000000, 2\.010000\] at radius 1 "):
         decompose_arc(lvl, starts, ends, R)
+
+
+def test_arc_march_cap_is_a_typed_error(unit_disk, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cover, "MAX_MARCH_STEPS", 1)
+    lvl = SphereLevel(index=1, radius=R, body=unit_disk, base=np.zeros(2))
+    with pytest.raises(ArcMarchExhausted, match="1 arc"):
+        decompose_arc(lvl, [0.0], [np.pi], R)
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"type": "disk", "center": [0, 0], "radius": 1.0}\n')
+    assert main(["cover", "--body", str(disk), "--R", "1", "--levels", "2",
+                 "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated: ArcMarchExhausted" in err
+    assert "Traceback" not in err
 
 
 def test_reach_and_spread_hold_on_all_levels(any_body):
