@@ -156,9 +156,6 @@ class ConvexBody(ABC):
         if np.any(self.classify_many(P) != -1):
             raise ExteriorPoint(message)
 
-    def contains_interior(self, P: np.ndarray) -> np.ndarray:
-        return self.signed_gap(np.asarray(P, dtype=float)) < -self.boundary_tol()
-
     def outline(self, n: int = 256) -> np.ndarray:
         """Closed boundary polyline (2-D bodies), counterclockwise, shape (n, 2)."""
         if self.dimension != 2:
@@ -541,9 +538,6 @@ class Chord:
 
     tail: np.ndarray
     head: np.ndarray
-
-    def reversed(self) -> "Chord":
-        return Chord(self.head, self.tail)
 
 
 def classify(body: ConvexBody, p: Sequence[float]) -> Region:

@@ -55,6 +55,7 @@ from .metric import (
     concurrency_defects,
     distance,
     distance_pairs,
+    pairwise_distances,
     projective_transfer_defect,
     ray_point,
     ray_points,
@@ -95,8 +96,8 @@ def _radii_arg(text: str) -> tuple[float, ...]:
         radii = tuple(float(c) for c in text.split(","))
     except ValueError as e:
         raise argparse.ArgumentTypeError(f"bad radii list {text!r}: {e}") from None
-    if not radii or any(r <= 0 for r in radii):
-        raise argparse.ArgumentTypeError("radii must be positive")
+    if not radii or not all(r > 0 and math.isfinite(r) for r in radii):
+        raise argparse.ArgumentTypeError("radii must be positive and finite")
     return radii
 
 
@@ -105,8 +106,8 @@ def _positive_float(text: str) -> float:
         v = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not v > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (v > 0.0 and math.isfinite(v)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
     return v
 
 
@@ -418,16 +419,14 @@ def _suite_coarse(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
                          note=f"count={rep.count} bound={rep.bound:.3f}"))
         sep_defect = 0.0
         if rep.count >= 2:
-            ii, jj = np.triu_indices(rep.count, k=1)
-            dmin = float(np.min(distance_pairs(body, rep.points[ii], rep.points[jj])))
+            dmin = float(np.min(pairwise_distances(body, rep.points)))
             sep_defect = max(0.0, 2.0 * eps - dmin)
         rows.append(_row(f"packing_separation_R{R:g}_eps{eps:g}", sep_defect, 0.0, rep.count))
 
     rng = np.random.default_rng([seed, 60])
     clearance = 0.05 * body.euclidean_diameter()
     A = sample_interior(body, min(n, 200), rng, clearance)
-    ii, jj = np.triu_indices(len(A), k=1)
-    diam = float(np.max(distance_pairs(body, A[ii], A[jj])))
+    diam = float(np.max(pairwise_distances(body, A)))
     rows.append(_row("clearance_sets_bounded", 0.0 if math.isfinite(diam) else math.inf,
                      0.0, len(A), note=f"sampled diameter {diam:.4f} at clearance {clearance:.4f}"))
     return rows

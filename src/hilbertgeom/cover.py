@@ -38,7 +38,7 @@ from .errors import (
     ExteriorPoint,
     NegativeParameter,
 )
-from .metric import _ray_param, distance_pairs, ray_point, ray_spec
+from .metric import _ray_param, distance_pairs, pairwise_distances, ray_point, ray_spec
 
 TWO_PI = 2.0 * math.pi
 # angular bisection tolerance for marker placement
@@ -49,8 +49,10 @@ N_ARC = 512
 MAX_HALVINGS = 64
 # rows per oracle call in batched marker scans and the multiplicity probe
 ROW_BUDGET = 4096
-# pairwise sample count for sampled arc/piece diameters
+# pairwise sample count for sampled arc diameters
 N_DIAM = 128
+# boundary samples per piece in the multiplicity probe
+PROBE_SAMPLES = 32
 # cap on first-marker steps per decompose_arc call
 MAX_MARCH_STEPS = 100000
 
@@ -140,9 +142,6 @@ class ArcDecomposition:
     def x_markers(self) -> list[Marker]:
         return [mk for mk in self.markers if mk.kind == "X"]
 
-    def y_markers(self) -> list[Marker]:
-        return [mk for mk in self.markers if mk.kind == "Y"]
-
     def arcs(self) -> list[tuple[float, float]]:
         """Consecutive marker arcs as (start, unwrapped end), CCW, wrapping once."""
         a = [mk.angle for mk in self.markers]
@@ -171,22 +170,14 @@ def project_between_levels(body: ConvexBody, o, x, t_target: float) -> np.ndarra
     return ray_point(ray_spec(body, po, px - po), float(t_target))
 
 
-def first_marker(
-    level: SphereLevel,
-    starts,
-    ends,
-    R: float,
-    *,
-    grid: int = N_ARC,
-    angle_tol: float = ANGLE_TOL,
-) -> np.ndarray:
+def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     """First angle on each arc whose sphere point is at distance R from the arc start.
 
     Arc k runs from ``starts[k]`` to ``ends[k]``.  A uniform grid of
-    grid + 1 angles per arc is scanned, ROW_BUDGET // (grid + 1) arcs per
+    N_ARC + 1 angles per arc is scanned, ROW_BUDGET // (N_ARC + 1) arcs per
     oracle call, and each arc's first bracket crossing R is refined by
     bisection, one oracle call per step for all open brackets.  A bracket
-    closes once it is no wider than angle_tol, after MAX_HALVINGS halvings,
+    closes once it is no wider than ANGLE_TOL, after MAX_HALVINGS halvings,
     or when its midpoint no longer splits it, so each arc follows the same
     steps whatever else is in the batch.  Assumes only continuity of the
     distance along the arc.  Holds NaN for an arc that is empty or whose
@@ -198,14 +189,14 @@ def first_marker(
     lo = np.full(starts.shape, np.nan)
     hi = np.full(starts.shape, np.nan)
     p0 = np.zeros((starts.size, 2))
-    steps = np.arange(grid + 1)
-    per_call = max(1, ROW_BUDGET // (grid + 1))
+    steps = np.arange(N_ARC + 1)
+    per_call = max(1, ROW_BUDGET // (N_ARC + 1))
     for c in range(0, starts.size, per_call):
         s, e = starts[c:c + per_call], ends[c:c + per_call]
-        thetas = s[:, None] + (e - s)[:, None] * steps / grid
+        thetas = s[:, None] + (e - s)[:, None] * steps / N_ARC
         pts = field.points(thetas.ravel(), level.radius)
-        P = pts.reshape(s.size, grid + 1, 2)
-        d = field.dist_from(np.repeat(P[:, 0], grid + 1, axis=0), pts).reshape(s.size, grid + 1)
+        P = pts.reshape(s.size, N_ARC + 1, 2)
+        d = field.dist_from(np.repeat(P[:, 0], N_ARC + 1, axis=0), pts).reshape(s.size, N_ARC + 1)
         hit = d >= R
         k = hit.argmax(axis=1)
         found = np.nonzero(hit.any(axis=1) & (k > 0) & (e > s))[0]
@@ -213,7 +204,7 @@ def first_marker(
         hi[c + found] = thetas[found, k[found]]
         p0[c + found] = P[found, 0]
 
-    live = np.nonzero(hi - lo > angle_tol)[0]
+    live = np.nonzero(hi - lo > ANGLE_TOL)[0]
     for _ in range(MAX_HALVINGS):
         mid = 0.5 * (lo[live] + hi[live])
         splits = (lo[live] < mid) & (mid < hi[live])
@@ -223,27 +214,20 @@ def first_marker(
         up = field.dist_from(p0[live], field.points(mid, level.radius)) >= R
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
-        live = live[hi[live] - lo[live] > angle_tol]
+        live = live[hi[live] - lo[live] > ANGLE_TOL]
     return 0.5 * (lo + hi)
 
 
-def decompose_arc(
-    level: SphereLevel,
-    starts,
-    ends,
-    R: float,
-    *,
-    grid: int = N_ARC,
-    angle_tol: float = ANGLE_TOL,
-) -> list[list[float]]:
+def decompose_arc(level: SphereLevel, starts, ends, R: float) -> list[list[float]]:
     """Interior cut angles splitting each arc into an odd number of good arcs.
 
     Arc k runs from ``starts[k]`` to ``ends[k]``; one list of cuts is
     returned per arc.  Each arc marches the first radius-R crossing
     repeatedly, all arcs in lockstep with one ``first_marker`` call per
-    step.  A tail that never reaches R is merged into the previous arc
-    (erasing the last cut), and if the arc count comes out even the first
-    cut is erased.  Every resulting arc then reaches R from its start, and
+    step; a crossing within ANGLE_TOL of the arc end closes the arc there.
+    A tail that never reaches R is merged into the previous arc (erasing
+    the last cut), and if the arc count comes out even the first cut is
+    erased.  Every resulting arc then reaches R from its start, and
     the 4R spread bound holds with margin because marched arcs keep all
     points within R of their start.  An arc that never reaches R at all
     raises ArcReachViolation, naming the lowest-index such arc.  Arcs still
@@ -258,9 +242,7 @@ def decompose_arc(
     for _ in range(MAX_MARCH_STEPS):
         if not live:
             break
-        thetas = first_marker(
-            level, [pts[i][-1] for i in live], ends[live], R, grid=grid, angle_tol=angle_tol
-        ).tolist()
+        thetas = first_marker(level, [pts[i][-1] for i in live], ends[live], R).tolist()
         still = []
         for i, theta in zip(live, thetas):   # live is in index order
             end = float(ends[i])
@@ -271,7 +253,7 @@ def decompose_arc(
                 )
             if math.isnan(theta):
                 pts[i][-1] = end       # merge the short tail into the previous arc
-            elif end - theta <= angle_tol:
+            elif end - theta <= ANGLE_TOL:
                 pts[i].append(end)
             else:
                 pts[i].append(theta)
@@ -299,44 +281,35 @@ def _assemble(level: SphereLevel, angle_kind_pairs: list[tuple[float, str]]) -> 
     return ArcDecomposition(level=level, markers=tuple(markers))
 
 
-def initial_decomposition(
-    body: ConvexBody,
-    o,
-    R: float,
-    *,
-    theta0: float = 0.0,
-    grid: int = N_ARC,
-) -> ArcDecomposition:
-    """Decompose the first sphere, split into halves at theta0 and theta0 + pi.
+def initial_decomposition(body: ConvexBody, o, R: float) -> ArcDecomposition:
+    """Decompose the first sphere, split into halves at 0 and pi.
 
     The two half arcs always reach R (their endpoints are antipodal,
     hence 2R apart), so each is decomposed on its own and the marker kinds
-    alternate starting with X at theta0.
+    alternate starting with X at angle 0.
     """
     if R <= 0.0:
         raise NegativeParameter("sphere step R must be positive")
     level = SphereLevel(index=1, radius=R, body=body, base=_read_only(as_point(o, 2)))
     try:
-        cuts1, cuts2 = decompose_arc(
-            level, [theta0, theta0 + math.pi], [theta0 + math.pi, theta0 + TWO_PI], R, grid=grid
-        )
+        cuts1, cuts2 = decompose_arc(level, [0.0, math.pi], [math.pi, TWO_PI], R)
     except ArcReachViolation as e:
         raise ArcReachViolation(f"level 1 with R={R:g}: {e}") from e
-    ordered = [theta0, *cuts1, theta0 + math.pi, *cuts2]
+    ordered = [0.0, *cuts1, math.pi, *cuts2]
     pairs = [(_norm_angle(t), "X" if i % 2 == 0 else "Y") for i, t in enumerate(ordered)]
     if len(pairs) % 2 != 0:
         raise RuntimeError("internal: initial marker count came out odd")
     return _assemble(level, pairs)
 
 
-def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDecomposition:
+def refine_level(dec: ArcDecomposition, R: float) -> ArcDecomposition:
     """Lift a decomposition to the next sphere and re-decompose each lifted arc.
 
     Lifting is the identity on angles.  Every lifted arc inherits its reach
     because distances along rays grow with the radius, each is split into an
     odd number of arcs, and the lift of each marker therefore receives the
     opposite kind, which is exactly the interleaving the multiplicity bound
-    needs.  A ArcReachViolation here means the inputs were inconsistent.
+    needs.  An ArcReachViolation here means the inputs were inconsistent.
     """
     lower = dec.level
     upper = SphereLevel(
@@ -352,7 +325,7 @@ def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDe
     los = [mk.angle for mk in walk[:-1]]
     his = [b.angle if b.angle > a.angle else b.angle + TWO_PI for a, b in zip(walk, walk[1:])]
     try:
-        cut_lists = decompose_arc(upper, los, his, R, grid=grid)
+        cut_lists = decompose_arc(upper, los, his, R)
     except ArcReachViolation as e:
         raise ArcReachViolation(
             f"level {upper.index} with R={R:g}: lifted arc lost its reach ({e})"
@@ -374,13 +347,13 @@ def refine_level(dec: ArcDecomposition, R: float, *, grid: int = N_ARC) -> ArcDe
     return _assemble(upper, new_pairs)
 
 
-def refine_to_depth(body: ConvexBody, o, R: float, levels: int, *, grid: int = N_ARC) -> list[ArcDecomposition]:
+def refine_to_depth(body: ConvexBody, o, R: float, levels: int) -> list[ArcDecomposition]:
     """Decompositions of spheres 1..levels, each admissible over the previous."""
     if levels < 1:
         raise ValueError("need at least one level")
-    decs = [initial_decomposition(body, o, R, grid=grid)]
+    decs = [initial_decomposition(body, o, R)]
     for _ in range(levels - 1):
-        decs.append(refine_level(decs[-1], R, grid=grid))
+        decs.append(refine_level(decs[-1], R))
     return decs
 
 
@@ -412,58 +385,30 @@ def refinement_arc_counts(upper: ArcDecomposition, lower: ArcDecomposition) -> l
     return counts
 
 
-def initial_half_counts(dec: ArcDecomposition, theta0: float = 0.0) -> tuple[int, int]:
+def initial_half_counts(dec: ArcDecomposition) -> tuple[int, int]:
     """Arc counts of the two starting half circles; both odd by construction."""
-    off = (dec.angles() - _norm_angle(theta0)) % TWO_PI
-    c1 = int(np.count_nonzero(off < math.pi))
+    c1 = int(np.count_nonzero(dec.angles() < math.pi))
     return c1, len(dec.markers) - c1
 
 
 # -- sampled audits ----------------------------------------------------------
 
 
-def arc_start_reach(
-    dec_level: SphereLevel,
-    start_angle: float,
-    end_angle: float,
-    *,
-    grid: int = N_ARC,
-) -> float:
-    """Sampled max distance from the arc start; every marked arc needs this >= R."""
-    field = dec_level.field()
-    thetas = start_angle + (end_angle - start_angle) * np.arange(grid + 1) / grid
-    pts = field.points(thetas, dec_level.radius)
-    return float(field.dist_from(pts[0], pts).max())
+def decomposition_audit(dec: ArcDecomposition, R: float) -> list[dict]:
+    """Per-arc reach and spread samples, one row per marker arc.
 
-
-def arc_sampled_diameter(
-    dec_level: SphereLevel,
-    start_angle: float,
-    end_angle: float,
-    *,
-    n: int = N_DIAM,
-) -> float:
-    """Sampled Hilbert diameter of the arc; the spread bound needs this <= 4R."""
-    field = dec_level.field()
-    thetas = start_angle + (end_angle - start_angle) * np.arange(n + 1) / n
-    pts = field.points(thetas, dec_level.radius)
-    ii, jj = np.triu_indices(len(pts), k=1)
-    return float(distance_pairs(field.body, pts[ii], pts[jj]).max())
-
-
-def decomposition_audit(dec: ArcDecomposition, R: float, *, grid: int = N_ARC, n_diam: int = N_DIAM) -> list[dict]:
-    """Per-arc reach and spread samples, one row per marker arc."""
+    ``start_reach`` is the max distance from the arc start over N_ARC + 1
+    uniform angles (needs >= R); ``diameter`` is the Hilbert diameter over
+    N_DIAM + 1 uniform angles (needs <= 4R).  Arcs are sampled one by one.
+    """
+    field = dec.level.field()
     rows = []
     for lo, hi in dec.arcs():
-        rows.append(
-            {
-                "level": dec.level.index,
-                "start": lo,
-                "end": hi,
-                "start_reach": arc_start_reach(dec.level, lo, hi, grid=grid),
-                "diameter": arc_sampled_diameter(dec.level, lo, hi, n=n_diam),
-            }
-        )
+        reach = field.points(lo + (hi - lo) * np.arange(N_ARC + 1) / N_ARC, dec.level.radius)
+        spread = field.points(lo + (hi - lo) * np.arange(N_DIAM + 1) / N_DIAM, dec.level.radius)
+        rows.append({"level": dec.level.index, "start": lo, "end": hi,
+                     "start_reach": float(field.dist_from(reach[0], reach).max()),
+                     "diameter": float(pairwise_distances(field.body, spread).max())})
     return rows
 
 
@@ -528,9 +473,9 @@ def _in_sectors(t, theta, r_inner, r_outer, theta_start, width, full, tol: float
     return in_band & (full | (off <= width + tol) | (off >= TWO_PI - tol))
 
 
-def build_cover(body: ConvexBody, o, R: float, levels: int, *, grid: int = N_ARC) -> list[CoverPiece]:
+def build_cover(body: ConvexBody, o, R: float, levels: int) -> list[CoverPiece]:
     """Cover pieces: the central ball plus the sectors of levels 1..levels."""
-    return pieces_from_decompositions(body, o, R, refine_to_depth(body, o, R, levels, grid=grid))
+    return pieces_from_decompositions(body, o, R, refine_to_depth(body, o, R, levels))
 
 
 def pieces_from_decompositions(
@@ -569,9 +514,7 @@ def piece_diameter(piece: CoverPiece, n: int = 64) -> float:
     """Sampled Hilbert diameter over >= 64 boundary samples."""
     if n < 64:
         raise ValueError("piece diameter sampling needs at least 64 points")
-    pts = piece.boundary_samples(n)
-    ii, jj = np.triu_indices(len(pts), k=1)
-    return float(distance_pairs(piece.body, pts[ii], pts[jj]).max())
+    return float(pairwise_distances(piece.body, piece.boundary_samples(n)).max())
 
 
 @dataclass(frozen=True)
@@ -597,18 +540,14 @@ class MultiplicityReport:
 
 
 def multiplicity_probe(
-    pieces: Sequence[CoverPiece],
-    r: float,
-    trials: int,
-    seed: int,
-    *,
-    samples_per_piece: int = 32,
+    pieces: Sequence[CoverPiece], r: float, trials: int, seed: int
 ) -> MultiplicityReport:
     """Count pieces met by random metric r-balls; requires R > 4r.
 
     A piece is counted when the ball center lies inside it or within
-    distance r of its sampled boundary, so the count is a lower bound for
-    the true multiplicity and can only miss grazing contacts.
+    distance r of its boundary samples (``sample_rays(PROBE_SAMPLES)``), so
+    the count is a lower bound for the true multiplicity and can only miss
+    grazing contacts.
 
     Trials run in chunks of ROW_BUDGET // len(pieces), each against the
     pieces whose radial band lies within r of the trial radius.  A pair is
@@ -628,7 +567,7 @@ def multiplicity_probe(
     body = ball.body
     field = SphereField(body, ball.base)
 
-    rays = [p.sample_rays(samples_per_piece) for p in pieces]
+    rays = [p.sample_rays(PROBE_SAMPLES) for p in pieces]
     m = rays[0][0].size
     samples = field.points(np.concatenate([a for a, _ in rays]),
                            np.concatenate([t for _, t in rays])).reshape(len(pieces), m, 2)
@@ -669,7 +608,7 @@ def multiplicity_probe(
     max_count = max(hist, default=0)
     return MultiplicityReport(
         r=float(r), R=float(R), trials=int(trials), seed=int(seed),
-        max_count=max_count, histogram=hist, samples_per_piece=samples_per_piece,
+        max_count=max_count, histogram=hist, samples_per_piece=PROBE_SAMPLES,
     )
 
 
@@ -694,6 +633,4 @@ def footprint_diameter(
     diffs = pts - po
     angles = np.arctan2(diffs[:, 1], diffs[:, 0])
     field = SphereField(body, po)
-    proj = field.points(angles, level_radius)
-    ii, jj = np.triu_indices(len(proj), k=1)
-    return float(distance_pairs(body, proj[ii], proj[jj]).max())
+    return float(pairwise_distances(body, field.points(angles, level_radius)).max())

@@ -120,6 +120,17 @@ def distance_pairs(body: ConvexBody, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     return out
 
 
+def pairwise_distances(body: ConvexBody, P: np.ndarray) -> np.ndarray:
+    """Distances of all row pairs i < j of P, in ``np.triu_indices`` order.
+
+    One ``distance_pairs`` call with its preconditions; empty for fewer
+    than two rows.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    ii, jj = np.triu_indices(len(P), k=1)
+    return distance_pairs(body, P[ii], P[jj])
+
+
 @dataclass(frozen=True)
 class RaySpec:
     """Unit-speed chord data at a base point: exits a (backward), b (forward)."""

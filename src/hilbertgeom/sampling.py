@@ -31,9 +31,9 @@ def sample_interior(
     return out[:n]
 
 
-def ball_box(body: ConvexBody, center, t: float, n_probe: int = 128) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean bounding box of the sampled metric sphere about center."""
-    bb = ball_boundary(body, center, t, n_probe)
+def ball_box(body: ConvexBody, center, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Euclidean bounding box of the metric sphere about center, sampled at 128 angles."""
+    bb = ball_boundary(body, center, t, 128)
     return bb.samples.min(axis=0), bb.samples.max(axis=0)
 
 

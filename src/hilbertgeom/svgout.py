@@ -17,6 +17,8 @@ from .cover import CoverPiece, SphereField, TWO_PI
 
 VIEW = 1000.0
 MARGIN = 40.0
+# angle steps along each piece's outer arc
+ARC_SAMPLES = 256
 
 PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
@@ -97,7 +99,7 @@ def render_ball(body: ConvexBody, ball_points: np.ndarray, center) -> str:
     return _document(lines)
 
 
-def render_cover(body: ConvexBody, pieces: list[CoverPiece], arc_samples: int = 256) -> str:
+def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
     """Each piece's outer arc and, off level 0, its two radial sides.
 
     One ``SphereField.points`` call per piece gives all its polyline
@@ -109,18 +111,18 @@ def render_cover(body: ConvexBody, pieces: list[CoverPiece], arc_samples: int = 
         return _document(lines)
     field = SphereField(body, pieces[0].base)
     lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
-    steps = np.arange(arc_samples + 1)
+    steps = np.arange(ARC_SAMPLES + 1)
     k = steps.size
     for p in pieces:
         # pieces are colored by level parity so neighbours contrast
         color = PALETTE[p.level % 2]
         if p.level == 0:
-            arc = field.points(p.width * steps / arc_samples, p.r_outer)
+            arc = field.points(p.width * steps / ARC_SAMPLES, p.r_outer)
             lines.append(_polyline(frame.coords(arc), color, 1.5, False))
             continue
         side = np.linspace(p.r_inner, p.r_outer, 16)
         ends = [th % TWO_PI if th >= TWO_PI else th for th in (p.theta_start, p.theta_end)]
-        thetas = np.concatenate([p.theta_start + p.width * steps / arc_samples, np.repeat(ends, 16)])
+        thetas = np.concatenate([p.theta_start + p.width * steps / ARC_SAMPLES, np.repeat(ends, 16)])
         C = frame.coords(field.points(thetas, np.concatenate([np.full(k, p.r_outer), side, side])))
         lines += [_polyline(C[:k], color, 1.5, False),
                   _polyline(C[k:k + 16], color, 1.0, False),

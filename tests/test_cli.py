@@ -54,6 +54,19 @@ def test_usage_errors_exit_1(disk_json, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["cover", "--R", "inf"],
+    ["probe-corona", "--radii", "inf"],
+    ["probe-corona", "--C", "inf"],
+    ["ball", "--center", "0,0", "--t", "inf"],
+])
+def test_non_finite_flags_exit_1(disk_json, tmp_path, capsys, argv):
+    assert main([argv[0], "--body", disk_json, "--out", str(tmp_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+
+
 def test_missing_or_broken_body_exits_1(tmp_path, capsys):
     assert main(["dist", "--body", str(tmp_path / "nope.json"),
                  "--x", "0,0", "--y", "0.5,0"]) == 1

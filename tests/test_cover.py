@@ -92,11 +92,12 @@ def test_first_marker_batch_matches_single_arcs(any_body):
     assert np.array_equal(batch, single, equal_nan=True)
 
 
-def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk):
-    # with angle_tol=0 the bracket shrinks until its midpoint stops splitting it
+def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk, monkeypatch):
+    # with ANGLE_TOL = 0 the bracket shrinks until its midpoint stops splitting it
     o = np.zeros(2)
     lvl = initial_decomposition(unit_disk, o, R).level
-    (theta,) = first_marker(lvl, [0.0], [np.pi], R, angle_tol=0.0)
+    monkeypatch.setattr(cover, "ANGLE_TOL", 0.0)
+    (theta,) = first_marker(lvl, [0.0], [np.pi], R)
     assert np.isfinite(theta)
     field = lvl.field()
     start, cut = field.points([0.0, theta], R)

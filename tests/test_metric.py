@@ -26,6 +26,7 @@ from hilbertgeom import (
     distance,
     distance_pairs,
     geodesic_defect,
+    pairwise_distances,
     ray_point,
     ray_spec,
     sphere_point,
@@ -84,6 +85,21 @@ def test_distance_pairs_agrees_with_scalar(any_body):
     batch = distance_pairs(any_body, X, Y)
     for i in range(20):
         assert batch[i] == pytest.approx(distance(any_body, X[i], Y[i]), abs=1e-12)
+
+
+def test_pairwise_distances_match_scalar_pairs(any_body):
+    rng = np.random.default_rng(8)
+    lo, hi = any_body.bounding_box()
+    P = rng.uniform(lo, hi, size=(200, 2))
+    P = P[any_body.signed_gap(P) < -1e-3][:12]
+    m = len(P)
+    got = pairwise_distances(any_body, P)
+    assert got.shape == (m * (m - 1) // 2,)
+    ii, jj = np.triu_indices(m, k=1)
+    for k, (i, j) in enumerate(zip(ii, jj)):
+        assert got[k] == pytest.approx(distance(any_body, P[i], P[j]), abs=1e-9)
+    assert pairwise_distances(any_body, P[:1]).shape == (0,)
+    assert pairwise_distances(any_body, P[:0]).shape == (0,)
 
 
 def test_symmetry_is_bit_exact(any_body):
