@@ -14,7 +14,9 @@ through four primitives:
 ``ray_exit`` is exact (closed form) for every kind.  Polygons and halfspace
 intersections share one kernel in their constraint slacks
 ``s_i(p) = b_i - n_i . p``, held constraint-major, shape (constraints,
-rows), so every per-row min and max runs over axis 0.  The exit along unit
+rows), so every per-row min and max runs over axis 0.  The kernels run in row
+blocks of about ``SLACK_BLOCK`` elements per buffer, 64-row aligned so
+each result is bit-identical to one unblocked call.  The exit along unit
 ``u`` is ``1 / max_i (n_i . u / s_i(p))``, and ``pair_rates`` uses the Funk
 pair form ``d(x, y) = F(x, y) + F(y, x)``: with ``G = N (y - x)``,
 ``d(x, y) = log1p(max_i (-G_i) / s_i(x)) + log1p(max_i G_i / s_i(y))``,
@@ -174,35 +176,54 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _slacks(N: np.ndarray, b: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Constraint slacks ``s_i(p) = b_i - n_i . p``, constraint-major.
+# Elements per (constraints, rows) kernel buffer: 512 KB, so two fit in L2.
+SLACK_BLOCK = 1 << 16
 
-    Shape (constraints, rows), so per-row reductions run over axis 0 along
-    contiguous rows.  ``out`` is filled in place when given.
+
+def _row_blocks(constraints: int, m: int) -> list[slice]:
+    """Blocks of ``SLACK_BLOCK // constraints`` rows, rounded down to a multiple
+    of 64 (so ``_slacks`` stays bit-identical); the last takes the remainder."""
+    step = max(64, SLACK_BLOCK // constraints // 64 * 64)
+    cuts = [*range(0, max(m // step, 1) * step, step), m]
+    return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
+
+
+def _slacks(N: np.ndarray, b: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Constraint slacks ``s_i(p) = b_i - n_i . p`` of 2-D P, constraint-major.
+
+    Shape (constraints, rows), reduced over axis 0; ``out`` is filled in place.
+    The BLAS matmul's last bits depend on its column tiling: see ``_row_blocks``.
     """
-    S = np.matmul(N, np.atleast_2d(P).T, out=out)
+    S = np.matmul(N, P.T, out=out)
     np.subtract(b[:, None], S, out=S)
     return S
 
 
 def _constraint_gap(N: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Largest constraint violation ``max_i (n_i . p - b_i)`` per row of P."""
-    return -_slacks(N, b, P).min(axis=0)
+    P = np.atleast_2d(P)
+    gap = np.empty(P.shape[0])
+    for rows in _row_blocks(N.shape[0], P.shape[0]):
+        np.negative(_slacks(N, b, P[rows]).min(axis=0), out=gap[rows])
+    return gap
 
 
 def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray) -> np.ndarray:
     """Exit lengths from rows of P along unit rows of U for ``N x <= b``.
 
-    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))``.  Two (constraints,
-    rows) buffers: the slacks and the ratios.
+    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))``.  A single row of P
+    or U is broadcast.  Two (constraints, rows) buffers per row block: the
+    slacks, divided in place, and ``N U^T``.
     """
-    S = _slacks(N, b, P)
-    if not np.all(S.min(axis=0) > 0.0):
-        raise ExteriorBase("ray base is not interior to the constraints")
-    G = N @ np.atleast_2d(U).T
-    np.divide(G, S, out=G)
-    rate = G.max(axis=0)
-    if not np.all(rate > 0.0):
+    P, U = np.atleast_2d(P, U)
+    P, U = np.broadcast_arrays(P, U) if P.shape != U.shape else (P, U)
+    rate = np.empty(P.shape[0])
+    for rows in _row_blocks(N.shape[0], P.shape[0]):
+        S = _slacks(N, b, P[rows])
+        if not (S > 0.0).all():
+            raise ExteriorBase("ray base is not interior to the constraints")
+        np.divide(N @ U[rows].T, S, out=S).max(axis=0, out=rate[rows])
+    if not (rate > 0.0).all():
         raise ExteriorBase("ray does not exit the body")
     return 1.0 / rate
 
@@ -213,19 +234,21 @@ def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray
     With ``G = N (Y - X)^T``, row k gives ``rho/s_back = max_i (-G_i) / s_i(x)``
     and ``rho/s_fwd = max_i G_i / s_i(y)``, so no exit length, norm or unit
     direction is formed.  Swapping X and Y negates G exactly, which swaps
-    the two rates bit for bit.  Two (constraints, rows) buffers: G, and the
-    slacks of Y and then of X, divided in place.
+    the two rates bit for bit.  Two (constraints, rows) buffers per row
+    block: G, and the slacks of Y and then of X, divided in place.
     """
-    G = N @ (Y - X).T
-    S = _slacks(N, b, Y)
-    if not np.all(S.min(axis=0) > 0.0):
-        raise ExteriorBase("pair point is not interior to the constraints")
-    fwd = np.divide(G, S, out=S).max(axis=0)
-    _slacks(N, b, X, out=S)
-    if not np.all(S.min(axis=0) > 0.0):
-        raise ExteriorBase("pair point is not interior to the constraints")
-    back = -np.divide(G, S, out=S).min(axis=0)
-    if not (np.all(back > 0.0) and np.all(fwd > 0.0)):
+    back, fwd = np.empty(X.shape[0]), np.empty(X.shape[0])
+    for rows in _row_blocks(N.shape[0], X.shape[0]):
+        G = N @ (Y[rows] - X[rows]).T
+        S = _slacks(N, b, Y[rows])
+        if not (S > 0.0).all():
+            raise ExteriorBase("pair point is not interior to the constraints")
+        np.divide(G, S, out=S).max(axis=0, out=fwd[rows])
+        _slacks(N, b, X[rows], out=S)
+        if not (S > 0.0).all():
+            raise ExteriorBase("pair point is not interior to the constraints")
+        np.negative(np.divide(G, S, out=S).min(axis=0), out=back[rows])
+    if not ((back > 0.0).all() and (fwd > 0.0).all()):
         raise ExteriorBase("chord does not exit the body")
     return back, fwd
 

@@ -111,12 +111,22 @@ def _positive_float(text: str) -> float:
     return v
 
 
+def _positive_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return v
+
+
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--body", required=True, help="domain spec JSON path")
     common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     common.add_argument("--out", default=".", help="output directory (default .)")
-    common.add_argument("--samples", type=int, default=200, help="per-row sample count")
+    common.add_argument("--samples", type=_positive_int, default=200, help="per-row sample count")
     common.add_argument("--tol", type=_positive_float, default=1e-9,
                         help="base pass tolerance (default 1e-9)")
 
@@ -139,7 +149,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--R", type=_positive_float, default=1.0, help="sphere step")
     c.add_argument("--levels", type=int, default=4, help="sphere levels (>= 1)")
     c.add_argument("--r", type=_positive_float, default=0.2, help="probe ball radius")
-    c.add_argument("--trials", type=int, default=2000, help="multiplicity probe trials")
+    c.add_argument("--trials", type=_positive_int, default=2000, help="multiplicity probe trials")
     c.add_argument("--center", type=_point_arg, default=None, help="base point override")
     c.set_defaults(func=cmd_cover)
 
@@ -157,7 +167,7 @@ def _build_parser() -> _Parser:
     pk = sub.add_parser("packing", parents=[common], help="greedy separated packing")
     pk.add_argument("--R", type=_positive_float, default=2.0, help="ball radius")
     pk.add_argument("--eps", type=_positive_float, default=0.25, help="separation half-gap")
-    pk.add_argument("--trials", type=int, default=20000)
+    pk.add_argument("--trials", type=_positive_int, default=20000)
     pk.add_argument("--center", type=_point_arg, default=None)
     pk.set_defaults(func=cmd_packing)
     return p

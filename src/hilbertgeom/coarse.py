@@ -15,6 +15,7 @@ boundaries with straight pieces.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -25,11 +26,16 @@ from .errors import BadOrder, BadRadii, BallNotContained, NotOnBoundary
 from .metric import distance, distance_pairs, ray_points, sphere_points
 from .sampling import ball_candidates, sample_ball
 
+# Largest x with e^x finite in float64 (about 709.78).
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
 
 def contraction_constant(r: float, R: float) -> float:
     """D = (e^r - 1)/(e^{2R} - 1); requires 0 < r < 2R so that D < 1."""
     if not (0.0 < r < 2.0 * R):
         raise BadRadii(f"need 0 < r < 2R, got r={r!r}, R={R!r}")
+    if 2.0 * R > _LOG_FLOAT_MAX:
+        raise BadRadii(f"e^(2R) exceeds the float64 maximum for R={R!r} > {_LOG_FLOAT_MAX / 2:.6f}")
     return math.expm1(r) / math.expm1(2.0 * R)
 
 
@@ -127,8 +133,10 @@ def greedy_packing(
     epsilon); the count can never exceed it.
     """
     c = as_point(center, body.dimension)
-    D = contraction_constant(epsilon, R + epsilon)
-    bound = 1.0 / D**body.dimension
+    Dn = contraction_constant(epsilon, R + epsilon) ** body.dimension
+    if Dn * sys.float_info.max < 1.0:
+        raise BadRadii(f"packing bound 1/D^{body.dimension} exceeds the float64 maximum at R={R!r}")
+    bound = 1.0 / Dn
     rng = np.random.default_rng(seed)
     cands = ball_candidates(body, c, R, trials, rng)
 

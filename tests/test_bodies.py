@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hilbertgeom import bodies
 from hilbertgeom import (
     Chord,
     ConvexBody,
@@ -228,15 +229,22 @@ def _regular_gon(k: int) -> Polygon:
     return Polygon(np.c_[np.cos(a), np.sin(a)])
 
 
+def _constraint_body(request) -> ConvexBody:
+    if request.param == "gon64":
+        return _regular_gon(64)
+    if request.param == "cube_polytope":
+        return HalfspacePolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    return request.getfixturevalue(request.param)
+
+
 @pytest.fixture(params=["square", "heptagon", "gon64", "square_polytope", "cube_polytope"])
-def constraint_body(request, square, heptagon, square_polytope):
-    return {
-        "square": lambda: square,
-        "heptagon": lambda: heptagon,
-        "gon64": lambda: _regular_gon(64),
-        "square_polytope": lambda: square_polytope,
-        "cube_polytope": lambda: HalfspacePolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6)),
-    }[request.param]()
+def constraint_body(request):
+    return _constraint_body(request)
+
+
+@pytest.fixture(params=["heptagon", "gon64", "square_polytope", "cube_polytope"])
+def blocked_body(request):
+    return _constraint_body(request)
 
 
 def _pair_distance(rates) -> np.ndarray:
@@ -302,3 +310,120 @@ def test_constraint_pairs_hold_two_buffers():
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 64 * m * 8
+
+
+# -- row blocks of the constraint kernels ------------------------------------
+
+
+def _block_rows(body) -> int:
+    """Rows per block: SLACK_BLOCK // constraints, rounded down to 64."""
+    return bodies.SLACK_BLOCK // body._normals.shape[0] // 64 * 64
+
+
+def _kernel_outputs(body, X, Y, U) -> list[np.ndarray]:
+    N, b = body._normals, body._offsets
+    return [
+        bodies._constraint_gap(N, b, X),
+        bodies._constraint_exit(N, b, X, U),
+        # a broadcast base row, as sphere_points and SphereField pass it
+        bodies._constraint_exit(N, b, np.broadcast_to(X[0], X.shape), U),
+        *bodies._constraint_pairs(N, b, X, Y),
+    ]
+
+
+def _unit_rows(rng, shape) -> np.ndarray:
+    U = rng.normal(size=shape)
+    return U / np.linalg.norm(U, axis=1)[:, None]
+
+
+def test_blocked_constraint_kernels_match_one_call_bit_for_bit(blocked_body, monkeypatch):
+    # The last bits of the slack matmul depend on BLAS's column tiling;
+    # blocks of a multiple of 64 rows keep it, near-equal blocks do not.
+    rng = np.random.default_rng(4)
+    X = sample_interior(blocked_body, 100_000, rng)
+    Y = sample_interior(blocked_body, 100_000, rng)
+    U = _unit_rows(rng, X.shape)
+    c = blocked_body._normals.shape[0]
+    B = _block_rows(blocked_body)
+    for m in (1, 63, 64, 65, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 100_000):
+        assert len(bodies._row_blocks(c, m)) == max(m // B, 1)
+        got = _kernel_outputs(blocked_body, X[:m], Y[:m], U[:m])
+        with monkeypatch.context() as mp:
+            mp.setattr(bodies, "SLACK_BLOCK", 64 * m * c)
+            assert len(bodies._row_blocks(c, m)) == 1
+            want = _kernel_outputs(blocked_body, X[:m], Y[:m], U[:m])
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), f"{m} rows"
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_blocked_kernels_reject_an_exterior_row_in_the_last_block(blocked_body, side):
+    B = _block_rows(blocked_body)
+    m = 2 * B + 1
+    rng = np.random.default_rng(5)
+    X = sample_interior(blocked_body, m, rng)
+    Y = sample_interior(blocked_body, m, rng)
+    U = _unit_rows(rng, X.shape)
+    lo, hi = blocked_body.bounding_box()
+    P = X if side == "x" else Y
+    P[-1] = hi + (hi - lo)
+    N, b = blocked_body._normals, blocked_body._offsets
+    assert bodies._row_blocks(N.shape[0], m)[-1] == slice(B, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        gap = bodies._constraint_gap(N, b, P)
+        assert gap[-1] > 0.0 and np.all(gap[:-1] < 0.0)
+        with pytest.raises(ExteriorPoint):
+            blocked_body.require_interior(P, "exterior row")
+        with pytest.raises(ExteriorBase):
+            bodies._constraint_exit(N, b, P, U)
+        with pytest.raises(ExteriorBase):
+            bodies._constraint_pairs(N, b, X, Y)
+        with pytest.raises(ExteriorBase):
+            distance_pairs(blocked_body, X, Y)
+        # an interior base whose last direction is zero never exits
+        U[-1] = 0.0
+        with pytest.raises(ExteriorBase):
+            bodies._constraint_exit(N, b, Y if side == "x" else X, U)
+
+
+def test_blocked_ray_exit_broadcasts_a_single_row():
+    body = _regular_gon(64)
+    U = _unit_rows(np.random.default_rng(7), (3 * _block_rows(body) + 5, 2))
+    o = body.interior_seed()
+    want = body.ray_exit(np.broadcast_to(o, U.shape), U)
+    assert np.array_equal(body.ray_exit(o[None, :], U), want)
+    assert np.array_equal(body.ray_exit(o, U), want)
+    # one direction for many bases
+    P = np.broadcast_to(o, U.shape) * 0.5
+    assert np.array_equal(body.ray_exit(P, U[:1]), body.ray_exit(P, np.broadcast_to(U[0], U.shape)))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_blocked_distance_pairs_peak_is_a_few_row_vectors():
+    # 512 KB blocks leave the (rows,) outputs as the peak: about 6 row
+    # vectors on the 64-gon, against 130 with whole (64, rows) buffers
+    body = _regular_gon(64)
+    rng = np.random.default_rng(3)
+    m = 100_000
+    X = sample_interior(body, m, rng)
+    Y = sample_interior(body, m, rng)
+    assert _peak_bytes(lambda: distance_pairs(body, X, Y)) < 8 * m * 8
+
+
+def test_blocked_sample_interior_peak_is_a_few_row_vectors():
+    # one round draws 200,000 candidates; their slacks no longer form one
+    # (64, 200,000) buffer, which read 134 row vectors
+    body = _regular_gon(64)
+    m = 100_000
+    rng = np.random.default_rng(6)
+    assert _peak_bytes(lambda: sample_interior(body, m, rng)) < 16 * m * 8

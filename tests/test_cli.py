@@ -67,6 +67,27 @@ def test_non_finite_flags_exit_1(disk_json, tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "coarse", "--samples", "0"],
+    ["probe-corona", "--samples", "0"],
+    ["packing", "--trials", "-3"],
+    ["cover", "--trials", "0"],
+])
+def test_count_flags_below_one_exit_1(disk_json, tmp_path, capsys, argv):
+    assert main([argv[0], "--body", disk_json, "--out", str(tmp_path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be an integer >= 1" in err
+    assert not (tmp_path / "cover_audit.json").exists()
+
+
+@pytest.mark.parametrize("R", ["200", "354", "355", "400"])
+def test_packing_radius_past_float64_exits_2(disk_json, tmp_path, capsys, R):
+    assert main(["packing", "--body", disk_json, "--R", R, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated: BadRadii" in err and "float64" in err
+    assert "Traceback" not in err
+
+
 def test_missing_or_broken_body_exits_1(tmp_path, capsys):
     assert main(["dist", "--body", str(tmp_path / "nope.json"),
                  "--x", "0,0", "--y", "0.5,0"]) == 1

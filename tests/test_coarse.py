@@ -33,6 +33,16 @@ def test_contraction_constant_rejects_bad_radii():
         contraction_constant(2.0, 1.0)  # r = 2R gives D = 1, no contraction
 
 
+def test_radii_past_float64_raise_bad_radii(unit_disk):
+    # e^(2R) is finite up to 2R = log(max float), about 709.78
+    assert 0.0 < contraction_constant(1.0, 354.0) < 1e-300
+    with pytest.raises(BadRadii, match="float64"):
+        contraction_constant(1.0, 355.0)
+    # finite D, but 1/D^2 past the largest float
+    with pytest.raises(BadRadii, match="float64"):
+        greedy_packing(unit_disk, (0.0, 0.0), 200.0, 0.25, 10, 0)
+
+
 def test_contract_is_affine_pull():
     got = contract((1.0, 1.0), 0.25, (5.0, -3.0))
     assert got == pytest.approx([2.0, 0.0])
