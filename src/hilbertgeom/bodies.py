@@ -257,7 +257,8 @@ class Polygon(ConvexBody):
     """Strictly convex polygon from counterclockwise vertices.
 
     Clockwise input is reversed silently and recorded in ``warnings``.
-    Repeated or collinear vertices raise NonConvex.
+    Repeated or collinear vertices, reflex turns and star polygons raise
+    NonConvex.
     """
 
     kind = "polygon"
@@ -272,27 +273,29 @@ class Polygon(ConvexBody):
         if not np.all(np.isfinite(V)):
             raise ValueError("polygon vertices have non-finite coordinates")
 
-        e_prev = np.roll(V, -1, axis=0) - V
-        e_next = np.roll(e_prev, -1, axis=0)
-        turns = _cross2(e_prev, e_next)
-        scale = np.linalg.norm(e_prev, axis=1) * np.linalg.norm(e_next, axis=1)
+        edges = np.roll(V, -1, axis=0) - V
+        lengths = np.linalg.norm(edges, axis=1)
+        scale = lengths * np.roll(lengths, -1)
         if np.any(scale <= TAU_P):
             raise NonConvex("polygon has coincident consecutive vertices")
+        e_next = np.roll(edges, -1, axis=0)
+        turns = _cross2(edges, e_next)
+        # A closed polygon turns through 2 pi times its winding number.  Only
+        # winding +-1 with every turn the same way is convex: a pentagram
+        # turns left everywhere but winds twice.
+        turning = np.arctan2(turns, np.einsum("ij,ij->i", edges, e_next)).sum()
+        winding = round(float(turning) / (2.0 * math.pi))
+        if abs(winding) != 1 or not np.all(winding * turns > 1e-12 * scale):
+            raise NonConvex("vertices are not in strictly convex position")
         warnings: tuple[str, ...] = ()
-        if np.all(turns < -1e-12 * scale):
+        if winding < 0:
             V = V[::-1].copy()
             warnings = ("clockwise vertex order was reversed",)
-            e_prev = np.roll(V, -1, axis=0) - V
-            e_next = np.roll(e_prev, -1, axis=0)
-            turns = _cross2(e_prev, e_next)
-            scale = np.linalg.norm(e_prev, axis=1) * np.linalg.norm(e_next, axis=1)
-        if not np.all(turns > 1e-12 * scale):
-            raise NonConvex("vertices are not in strictly convex position")
+            edges = np.roll(V, -1, axis=0) - V
+            lengths = np.linalg.norm(edges, axis=1)
 
         super().__init__(2, warnings)
         self.vertices = _read_only(V)
-        edges = np.roll(V, -1, axis=0) - V
-        lengths = np.linalg.norm(edges, axis=1)
         normals = np.stack([edges[:, 1], -edges[:, 0]], axis=1) / lengths[:, None]
         self._normals = _read_only(normals)
         self._offsets = _read_only(np.einsum("ij,ij->i", normals, V))

@@ -111,91 +111,102 @@ def _positive_float(text: str) -> float:
     return v
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, lo: int) -> int:
     try:
         v = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    if v < lo:
+        raise argparse.ArgumentTypeError(f"must be an integer >= {lo}, got {text}")
     return v
 
 
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _seed_arg(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _flag(*names: str, **kw) -> _Parser:
+    """A parent parser holding one option, for subcommands that read it."""
+    p = _Parser(add_help=False)
+    p.add_argument(*names, **kw)
+    return p
+
+
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--body", required=True, help="domain spec JSON path")
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--out", default=".", help="output directory (default .)")
-    common.add_argument("--samples", type=_positive_int, default=200, help="per-row sample count")
-    common.add_argument("--tol", type=_positive_float, default=1e-9,
-                        help="base pass tolerance (default 1e-9)")
+    body = _flag("--body", required=True, help="domain spec JSON path")
+    seed = _flag("--seed", type=_seed_arg, default=0, help="RNG seed, >= 0 (default 0)")
+    out = _flag("--out", default=".", help="output directory (default .)")
+    samples = _flag("--samples", type=_positive_int, default=200, help="per-row sample count")
+    tol = _flag("--tol", type=_positive_float, default=1e-9,
+                help="base pass tolerance (default 1e-9)")
+    center = _flag("--center", type=_point_arg, default=None, help="base point override")
 
     p = _Parser(prog="hilbertgeom", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"hilbertgeom {__version__}")
     sub = p.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
 
-    d = sub.add_parser("dist", parents=[common], help="distance between two points")
+    d = sub.add_parser("dist", parents=[body], help="distance between two points")
     d.add_argument("--x", type=_point_arg, required=True)
     d.add_argument("--y", type=_point_arg, required=True)
     d.set_defaults(func=cmd_dist)
 
-    b = sub.add_parser("ball", parents=[common], help="render a metric ball")
+    b = sub.add_parser("ball", parents=[body, out], help="render a metric ball")
     b.add_argument("--center", type=_point_arg, required=True)
     b.add_argument("--t", type=_positive_float, required=True, help="ball radius, > 0")
-    b.add_argument("--n", type=int, default=256, help="boundary sample count")
+    b.add_argument("--n", type=int, default=256, help="boundary sample count (>= 3)")
     b.set_defaults(func=cmd_ball)
 
-    c = sub.add_parser("cover", parents=[common], help="build and audit the cover")
+    c = sub.add_parser("cover", parents=[body, seed, out, center],
+                       help="build and audit the cover")
     c.add_argument("--R", type=_positive_float, default=1.0, help="sphere step")
-    c.add_argument("--levels", type=int, default=4, help="sphere levels (>= 1)")
+    c.add_argument("--levels", type=_positive_int, default=4, help="sphere levels (>= 1)")
     c.add_argument("--r", type=_positive_float, default=0.2, help="probe ball radius")
     c.add_argument("--trials", type=_positive_int, default=2000, help="multiplicity probe trials")
-    c.add_argument("--center", type=_point_arg, default=None, help="base point override")
     c.set_defaults(func=cmd_cover)
 
-    v = sub.add_parser("verify", parents=[common], help="run an invariant suite")
+    v = sub.add_parser("verify", parents=[body, seed, out, samples, tol],
+                       help="run an invariant suite")
     v.add_argument("--suite", required=True,
                    choices=["metric", "coarse", "corona", "asdim", "all"])
     v.set_defaults(func=cmd_verify)
 
-    pc = sub.add_parser("probe-corona", parents=[common], help="boundary gap probe")
+    pc = sub.add_parser("probe-corona", parents=[body, seed, out, samples],
+                        help="boundary gap probe")
     pc.add_argument("--delta", type=_positive_float, default=0.05)
     pc.add_argument("--C", type=_positive_float, default=1.0)
     pc.add_argument("--radii", type=_radii_arg, default=(2.0, 4.0, 8.0, 16.0))
     pc.set_defaults(func=cmd_probe_corona)
 
-    pk = sub.add_parser("packing", parents=[common], help="greedy separated packing")
+    pk = sub.add_parser("packing", parents=[body, seed, out, center],
+                        help="greedy separated packing")
     pk.add_argument("--R", type=_positive_float, default=2.0, help="ball radius")
     pk.add_argument("--eps", type=_positive_float, default=0.25, help="separation half-gap")
     pk.add_argument("--trials", type=_positive_int, default=20000)
-    pk.add_argument("--center", type=_point_arg, default=None)
     pk.set_defaults(func=cmd_packing)
     return p
 
 
-def _config_header(args, extra: dict | None = None) -> dict:
-    cfg = {
-        "tool": f"hilbertgeom {__version__}",
-        "subcommand": args.cmd,
-        "body": args.body,
-        "seed": int(args.seed),
-        "samples": int(args.samples),
-        "tolerances": {
-            "base": float(args.tol),
-            "point_coincidence": TAU_P,
-            "parallelism": TAU_PAR,
-            "boundary_rel": REL_BOUNDARY_TOL,
-        },
-    }
-    if extra:
-        cfg.update(extra)
-    return cfg
-
-
-def _write_json(path: str, obj: dict) -> None:
+def _write_report(args, name: str, config: dict, payload: dict) -> str:
+    """Write the JSON report ``name`` under --out: schema 1, a config block
+    of the shared flags the subcommand takes plus ``config``, then ``payload``."""
+    tolerances = {"point_coincidence": TAU_P, "parallelism": TAU_PAR,
+                  "boundary_rel": REL_BOUNDARY_TOL}
+    if hasattr(args, "tol"):
+        tolerances["base"] = float(args.tol)
+    cfg = {"tool": f"hilbertgeom {__version__}", "subcommand": args.cmd,
+           "body": args.body, "seed": int(args.seed), "tolerances": tolerances, **config}
+    if hasattr(args, "samples"):
+        cfg["samples"] = int(args.samples)
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, indent=2))
+        fh.write(json.dumps({"schema": 1, "config": cfg, **payload}, sort_keys=True, indent=2))
         fh.write("\n")
+    return path
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -575,9 +586,6 @@ def cmd_dist(args) -> int:
 
 def cmd_ball(args) -> int:
     body = load_body(args.body)
-    if args.n < 3:
-        print("error: --n must be at least 3", file=sys.stderr)
-        return 1
     bb = ball_boundary(body, args.center, args.t, args.n)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ball.svg")
@@ -590,9 +598,6 @@ def cmd_ball(args) -> int:
 def cmd_cover(args) -> int:
     body = load_body(args.body)
     R, r, levels = args.R, args.r, args.levels
-    if levels < 1:
-        print("error: --levels must be at least 1", file=sys.stderr)
-        return 1
     if not R > 4.0 * r:
         raise BadRadii(f"cover audit requires R > 4r, got R={R:g}, r={r:g}")
     o = np.asarray(args.center, dtype=float) if args.center else body.interior_seed()
@@ -613,11 +618,10 @@ def cmd_cover(args) -> int:
     bound = 10.0 * R + arc_tolerance(R)
     ok = max(diams) <= bound and mult.max_count <= 3 and odd_ok and adm_ok
 
-    audit = {
-        "schema": 1,
-        "config": _config_header(args, {"R": R, "r": r, "levels": levels,
-                                        "trials": int(args.trials),
-                                        "center": [float(v) for v in o]}),
+    path = _write_report(args, "cover_audit.json", {
+        "R": R, "r": r, "levels": levels, "trials": int(args.trials),
+        "center": [float(v) for v in o],
+    }, {
         "levels": [
             {
                 "index": dec.level.index,
@@ -646,14 +650,12 @@ def cmd_cover(args) -> int:
         "diameter_bound": bound,
         "multiplicity": mult.to_dict(),
         "pass": ok,
-    }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "cover_audit.json"), audit)
+    })
     with open(os.path.join(args.out, "cover.svg"), "w") as fh:
         fh.write(render_cover(body, pieces))
     print(f"pieces={len(pieces)} max_diameter={max(diams):.6f} bound={bound:.6f}")
     print(f"multiplicity max={mult.max_count} odd_counts={odd_ok} admissible={adm_ok}")
-    print(os.path.join(args.out, "cover_audit.json"))
+    print(path)
     if not ok:
         print("cover audit FAILED", file=sys.stderr)
         return 3
@@ -663,16 +665,10 @@ def cmd_cover(args) -> int:
 def cmd_verify(args) -> int:
     body = load_body(args.body)
     rows = run_suite(body, args.suite, args.seed, args.samples, args.tol)
-    report = {
-        "schema": 1,
-        "config": _config_header(args, {"suite": args.suite}),
-        "rows": rows,
-    }
-    os.makedirs(args.out, exist_ok=True)
-    base = os.path.join(args.out, f"verify_{args.suite}")
-    _write_json(base + ".json", report)
+    base = f"verify_{args.suite}"
+    _write_report(args, base + ".json", {"suite": args.suite}, {"rows": rows})
     _write_csv(
-        base + ".csv",
+        os.path.join(args.out, base + ".csv"),
         ["suite", "invariant", "passed", "defect", "tolerance", "samples", "note"],
         [[r["suite"], r["name"], r["passed"], r["defect"], r["tolerance"],
           r["samples"], r["note"]] for r in rows],
@@ -690,14 +686,9 @@ def cmd_probe_corona(args) -> int:
     body = load_body(args.body)
     rep = corona_probe(body, body.interior_seed(), args.delta, args.C,
                        args.radii, args.samples, args.seed)
-    report = {
-        "schema": 1,
-        "config": _config_header(args, {"delta": args.delta, "C": args.C,
-                                        "radii": list(args.radii)}),
-        "probe": rep.to_dict(),
-    }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "corona_probe.json"), report)
+    _write_report(args, "corona_probe.json",
+                  {"delta": args.delta, "C": args.C, "radii": list(args.radii)},
+                  {"probe": rep.to_dict()})
     _write_csv(
         os.path.join(args.out, "corona_probe.csv"),
         ["radius", "sup_euclidean_gap", "samples", "C", "seed"],
@@ -713,17 +704,12 @@ def cmd_packing(args) -> int:
     body = load_body(args.body)
     o = np.asarray(args.center, dtype=float) if args.center else body.interior_seed()
     rep = greedy_packing(body, o, args.R, args.eps, args.trials, args.seed)
-    report = {
-        "schema": 1,
-        "config": _config_header(args, {"R": args.R, "eps": args.eps,
-                                        "trials": int(args.trials)}),
-        "packing": rep.to_dict(),
-    }
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "packing.json"), report)
+    _write_report(args, "packing.json",
+                  {"R": args.R, "eps": args.eps, "trials": int(args.trials)},
+                  {"packing": rep.to_dict()})
     with open(os.path.join(args.out, "packing.svg"), "w") as fh:
         fh.write(render_packing(body, rep.points, o))
-    print(f"count={rep.count} bound={rep.bound:.3f}")
+    print(f"count={rep.count} bound={rep.bound:.6g}")
     if rep.count > rep.bound:
         print("packing bound VIOLATED", file=sys.stderr)
         return 3

@@ -62,6 +62,16 @@ def test_polygon_rejects_reflex_vertex():
         Polygon([(0, 0), (2, 0), (1, 0.1), (1, 2)])
 
 
+@pytest.mark.parametrize("order", [[0, 2, 4, 1, 3], [3, 1, 4, 2, 0]])
+def test_polygon_rejects_star_polygon(order):
+    # the pentagram turns one way at every vertex but winds twice, so its
+    # halfplanes bound the inner pentagon, not the star the vertices outline
+    ang = np.pi / 2 + 2 * np.pi * np.arange(5) / 5
+    star = np.c_[np.cos(ang), np.sin(ang)][order]
+    with pytest.raises(NonConvex, match="strictly convex"):
+        Polygon(star)
+
+
 def test_polygon_needs_three_vertices():
     with pytest.raises(NonConvex):
         Polygon([(0, 0), (1, 0)])

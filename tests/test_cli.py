@@ -1,10 +1,13 @@
+import argparse
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from hilbertgeom.cli import main
+from hilbertgeom import cli
+from hilbertgeom.cli import _build_parser, main
 from hilbertgeom.svgout import fmt6, render_ball, render_body, render_cover
 
 
@@ -78,6 +81,82 @@ def test_count_flags_below_one_exit_1(disk_json, tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "usage:" in err and "must be an integer >= 1" in err
     assert not (tmp_path / "cover_audit.json").exists()
+
+
+# Each subcommand takes only the flags it reads: 36 settable values in all.
+FLAGS = {
+    "dist": {"--body", "--x", "--y"},
+    "ball": {"--body", "--out", "--center", "--t", "--n"},
+    "cover": {"--body", "--seed", "--out", "--R", "--levels", "--r", "--trials", "--center"},
+    "verify": {"--body", "--seed", "--out", "--samples", "--tol", "--suite"},
+    "probe-corona": {"--body", "--seed", "--out", "--samples", "--delta", "--C", "--radii"},
+    "packing": {"--body", "--seed", "--out", "--R", "--eps", "--trials", "--center"},
+}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    taken = {
+        name: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sp in sub.choices.items()
+    }
+    assert taken == FLAGS
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--x", "0,0", "--y", "0.5,0", "--seed", "3"],
+    ["dist", "--x", "0,0", "--y", "0.5,0", "--out", "o"],
+    ["ball", "--center", "0,0", "--t", "1", "--samples", "5"],
+    ["cover", "--samples", "5"],
+    ["cover", "--tol", "0.5"],
+    ["probe-corona", "--tol", "0.5"],
+    ["packing", "--samples", "5"],
+])
+def test_a_flag_the_subcommand_does_not_take_exits_1(disk_json, tmp_path, capsys,
+                                                     monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # a parser that accepted the flag would write to --out .
+    assert main([argv[0], "--body", disk_json, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "coarse"],
+    ["cover", "--levels", "1"],
+    ["probe-corona"],
+    ["packing"],
+])
+def test_negative_seed_exits_1_with_usage(disk_json, tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    assert main([argv[0], "--body", disk_json, "--out", str(out), "--seed", "-1",
+                 *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be an integer >= 0" in err
+    assert not out.exists()
+
+
+def test_config_records_only_the_flags_taken(disk_json, tmp_path, capsys):
+    runs = {
+        "verify_metric.json": ["verify", "--suite", "metric", "--samples", "20"],
+        "corona_probe.json": ["probe-corona", "--samples", "30", "--radii", "2"],
+        "cover_audit.json": ["cover", "--levels", "1", "--trials", "10"],
+        "packing.json": ["packing", "--trials", "50"],
+    }
+    cfg = {}
+    for name, argv in runs.items():
+        assert main([argv[0], "--body", disk_json, "--out", str(tmp_path), *argv[1:]]) == 0
+        cfg[name] = json.loads((tmp_path / name).read_text())["config"]
+    capsys.readouterr()
+    assert cfg["verify_metric.json"]["samples"] == 20
+    assert cfg["verify_metric.json"]["tolerances"]["base"] == 1e-9
+    assert cfg["corona_probe.json"]["samples"] == 30
+    for name in ("corona_probe.json", "cover_audit.json", "packing.json"):
+        assert "base" not in cfg[name]["tolerances"]
+    for name in ("cover_audit.json", "packing.json"):
+        assert "samples" not in cfg[name]
+    for c in cfg.values():
+        assert c["seed"] == 0
+        assert set(c["tolerances"]) >= {"point_coincidence", "parallelism", "boundary_rel"}
 
 
 @pytest.mark.parametrize("R", ["200", "354", "355", "400"])
@@ -256,6 +335,70 @@ def test_packing_report_and_svg(disk_json, tmp_path, capsys):
     assert rep["packing"]["count"] <= rep["packing"]["bound"]
     assert len(rep["packing"]["points"]) == rep["packing"]["count"]
     assert (out / "packing.svg").exists()
+
+
+def test_packing_prints_a_short_bound(disk_json, tmp_path, capsys):
+    # the counting bound at R=175 is about 3.4e305; the JSON keeps the float
+    out = tmp_path / "pk"
+    assert main(["packing", "--body", disk_json, "--R", "175", "--trials", "50",
+                 "--out", str(out)]) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("count=") and len(line) < 40
+    bound = json.loads((out / "packing.json").read_text())["packing"]["bound"]
+    assert line.endswith(f"bound={bound:.6g}") and bound > 1e305
+
+
+def test_packing_violation_exits_3(disk_json, tmp_path, capsys, monkeypatch):
+    real = cli.greedy_packing
+
+    def overfull(*a):
+        rep = real(*a)
+        return dataclasses.replace(rep, bound=rep.count - 1.0)
+
+    monkeypatch.setattr(cli, "greedy_packing", overfull)
+    assert main(["packing", "--body", disk_json, "--trials", "200",
+                 "--out", str(tmp_path)]) == 3
+    assert "packing bound VIOLATED" in capsys.readouterr().err
+    assert (tmp_path / "packing.json").exists()
+
+
+def test_cover_audit_failure_exits_3(disk_json, tmp_path, capsys, monkeypatch):
+    real = cli.multiplicity_probe
+
+    def crowded(*a):
+        return dataclasses.replace(real(*a), max_count=4)
+
+    monkeypatch.setattr(cli, "multiplicity_probe", crowded)
+    assert main(["cover", "--body", disk_json, "--levels", "2", "--trials", "100",
+                 "--out", str(tmp_path)]) == 3
+    assert "cover audit FAILED" in capsys.readouterr().err
+    audit = json.loads((tmp_path / "cover_audit.json").read_text())
+    assert audit["pass"] is False and audit["multiplicity"]["max_count"] == 4
+
+
+def test_verify_corona_on_a_strictly_convex_body(disk_json, tmp_path, capsys):
+    assert main(["verify", "--body", disk_json, "--suite", "corona", "--samples", "20",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "verify_corona.json").read_text())["rows"]
+    assert [(r["name"], r["note"]) for r in rows[:1]] == [("strictly_convex", "true")]
+    gap = rows[1]
+    assert gap["name"] == "corona_gap_vanishes" and gap["passed"]
+    assert gap["samples"] == 1000 and gap["tolerance"] == 0.1
+    assert gap["note"].startswith("gaps [") and gap["note"].count(",") == 3
+
+
+def test_verify_corona_skips_the_flat_edge_of_a_halfspace_body(square_halfspaces_json,
+                                                               tmp_path, capsys):
+    assert main(["verify", "--body", square_halfspaces_json, "--suite", "corona",
+                 "--samples", "20", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rows = json.loads((tmp_path / "verify_corona.json").read_text())["rows"]
+    assert [(r["name"], r["note"]) for r in rows] == [
+        ("strictly_convex", "false"),
+        ("flat_edge_ray_bound", "skipped: flat edge location needs explicit vertices"),
+    ]
+    assert rows[1]["passed"] and rows[1]["samples"] == 0
 
 
 def test_log_env_var_enables_info_lines(square_json, tmp_path, capsys, monkeypatch):
