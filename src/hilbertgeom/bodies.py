@@ -7,23 +7,28 @@ a Euclidean ball, or an intersection of halfspaces.  Everything downstream
 through four primitives:
 
 * ``signed_gap``     negative inside, about zero on the boundary,
-* ``ray_exit``       length to the boundary along a unit direction,
+* ``ray_exit``       the two exit lengths of a line, behind and ahead,
 * ``pair_rates``     the two chord terms of the Hilbert distance of a pair,
 * ``bounding_box``   a covering axis-aligned box.
 
-``ray_exit`` is exact (closed form) for every kind.  Polygons and halfspace
+``ray_exit(P, U)`` returns ``(back, fwd)``: the lengths from each row of P
+to the boundary along -U and along U, from one pass (the two roots of one
+quadratic, or the min and the max of one slack ratio).  Each side is
+bit-identical to a one-sided exit along -U or U, because negation is exact.
+It is exact (closed form) for every kind.  Polygons and halfspace
 intersections share one kernel in their constraint slacks
 ``s_i(p) = b_i - n_i . p``, held constraint-major, shape (constraints,
 rows), so every per-row min and max runs over axis 0.  The kernels run in row
 blocks of about ``SLACK_BLOCK`` elements per buffer, 64-row aligned so
-each result is bit-identical to one unblocked call.  The exit along unit
-``u`` is ``1 / max_i (n_i . u / s_i(p))``, and ``pair_rates`` uses the Funk
+each result is bit-identical to one unblocked call.  The exits along unit
+``u`` are ``1 / max_i (n_i . u / s_i(p))`` ahead and
+``-1 / min_i (n_i . u / s_i(p))`` behind, and ``pair_rates`` uses the Funk
 pair form ``d(x, y) = F(x, y) + F(y, x)``: with ``G = N (y - x)``,
 ``d(x, y) = log1p(max_i (-G_i) / s_i(x)) + log1p(max_i G_i / s_i(y))``,
 which forms no exit length and is bit-exactly symmetric.  Other kinds
-take ``pair_rates`` from two ``ray_exit`` calls.  A generic bisection
-oracle on ``signed_gap`` is exposed as ``boundary_hit_bisect`` to
-cross-check the closed forms.
+take ``pair_rates`` from the forward sides of two ``ray_exit`` calls.  A
+generic bisection oracle on ``signed_gap`` is exposed as
+``boundary_hit_bisect`` to cross-check the closed forms.
 """
 
 from __future__ import annotations
@@ -111,8 +116,12 @@ class ConvexBody(ABC):
         """
 
     @abstractmethod
-    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
-        """Exit length s > 0 with P + s U on the boundary, rows interior."""
+    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exit lengths ``(back, fwd)`` > 0 of interior rows P along unit rows U.
+
+        ``P - back U`` and ``P + fwd U`` lie on the boundary; a single row of
+        P or U is broadcast.  A base that is not interior raises ExteriorBase.
+        """
 
     @abstractmethod
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -124,12 +133,12 @@ class ConvexBody(ABC):
         ``rho = |x - y|``; ``s_back`` is the exit length behind x (away from
         y) and ``s_fwd`` the one beyond y, so
         ``d(x, y) = log1p(rho/s_back) + log1p(rho/s_fwd)``.  This default
-        takes two ``ray_exit`` calls.
+        takes the forward side of two ``ray_exit`` calls.
         """
         diff = X - Y
         r = np.linalg.norm(diff, axis=1)
         U = diff / r[:, None]
-        return r / self.ray_exit(X, U), r / self.ray_exit(Y, -U)
+        return r / self.ray_exit(X, U)[1], r / self.ray_exit(Y, -U)[1]
 
     @abstractmethod
     def interior_seed(self) -> np.ndarray:
@@ -166,7 +175,7 @@ class ConvexBody(ABC):
         theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         P = np.broadcast_to(seed, U.shape)
-        s = self.ray_exit(P, U)
+        s = self.ray_exit(P, U)[1]
         return P + s[:, None] * U
 
 
@@ -208,24 +217,26 @@ def _constraint_gap(N: np.ndarray, b: np.ndarray, P: np.ndarray) -> np.ndarray:
     return gap
 
 
-def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Exit lengths from rows of P along unit rows of U for ``N x <= b``.
+def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray):
+    """Exit lengths ``(back, fwd)`` from rows of P along -U and U for ``N x <= b``.
 
-    Row k exits at ``1 / max_i (n_i . u_k / s_i(p_k))``.  A single row of P
-    or U is broadcast.  Two (constraints, rows) buffers per row block: the
-    slacks, divided in place, and ``N U^T``.
+    With ``S_ik = n_i . u_k / s_i(p_k)``, row k exits at ``1 / max_i S_ik``
+    ahead and at ``-1 / min_i S_ik`` behind.  A single row of P or U is
+    broadcast.  Two (constraints, rows) buffers per row block: the slacks,
+    divided in place, and ``N U^T``.
     """
     P, U = np.atleast_2d(P, U)
     P, U = np.broadcast_arrays(P, U) if P.shape != U.shape else (P, U)
-    rate = np.empty(P.shape[0])
+    back, fwd = np.empty(P.shape[0]), np.empty(P.shape[0])
     for rows in _row_blocks(N.shape[0], P.shape[0]):
         S = _slacks(N, b, P[rows])
         if not (S > 0.0).all():
             raise ExteriorBase("ray base is not interior to the constraints")
-        np.divide(N @ U[rows].T, S, out=S).max(axis=0, out=rate[rows])
-    if not (rate > 0.0).all():
+        np.divide(N @ U[rows].T, S, out=S).max(axis=0, out=fwd[rows])
+        np.negative(S.min(axis=0), out=back[rows])
+    if not ((back > 0.0).all() and (fwd > 0.0).all()):
         raise ExteriorBase("ray does not exit the body")
-    return 1.0 / rate
+    return 1.0 / back, 1.0 / fwd
 
 
 def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
@@ -305,7 +316,7 @@ class Polygon(ConvexBody):
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
         return _constraint_gap(self._normals, self._offsets, P)
 
-    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constraint_exit(self._normals, self._offsets, P, U)
 
     def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,16 +351,18 @@ class Disk(ConvexBody):
         P = np.atleast_2d(P)
         return np.linalg.norm(P - self.center, axis=1) - self.radius
 
-    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the roots -beta -+ root of |q + s u|^2 = r^2, as lengths behind and ahead
         P = np.atleast_2d(np.asarray(P, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
         q = P - self.center
         beta = np.einsum("ij,ij->i", q, U)
         gamma = np.einsum("ij,ij->i", q, q) - self.radius**2
         disc = beta * beta - gamma
-        if np.any(disc < 0.0) or np.any(gamma > 0.0):
-            raise ExteriorBase("ray base lies outside the disk")
-        return -beta + np.sqrt(disc)
+        if np.any(disc < 0.0) or np.any(gamma >= 0.0):
+            raise ExteriorBase("ray base is not inside the disk")
+        root = np.sqrt(disc)
+        return beta + root, root - beta
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
@@ -418,7 +431,8 @@ class Ellipsoid(ConvexBody):
             gap = r * (m - 1.0) / m
         return np.where(deep, -float(self.semi_axes.min()), gap)
 
-    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the roots (-B -+ root) / A of A s^2 + 2 B s + C = 0 in unit-ball coordinates
         P = np.atleast_2d(np.asarray(P, dtype=float))
         U = np.atleast_2d(np.asarray(U, dtype=float))
         w = self._unit_coords(P)
@@ -427,9 +441,10 @@ class Ellipsoid(ConvexBody):
         B = np.einsum("ij,ij->i", w, v)
         C = np.einsum("ij,ij->i", w, w) - 1.0
         disc = B * B - A * C
-        if np.any(C > 0.0) or np.any(disc < 0.0):
-            raise ExteriorBase("ray base lies outside the ellipsoid")
-        return (-B + np.sqrt(disc)) / A
+        if np.any(C >= 0.0) or np.any(disc < 0.0):
+            raise ExteriorBase("ray base is not inside the ellipsoid")
+        root = np.sqrt(disc)
+        return (B + root) / A, (root - B) / A
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         M = self.rotation * self.semi_axes[None, :]
@@ -517,7 +532,7 @@ class HalfspacePolytope(ConvexBody):
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
         return _constraint_gap(self._normals, self._offsets, P)
 
-    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> np.ndarray:
+    def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constraint_exit(self._normals, self._offsets, P, U)
 
     def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -579,7 +594,7 @@ def boundary_hit(body: ConvexBody, p: Sequence[float], u: Sequence[float]) -> np
     v = as_direction(u, body.dimension)
     if classify(body, q) is not Region.INTERIOR:
         raise ExteriorBase("boundary_hit requires an interior base point")
-    s = float(body.ray_exit(q[None, :], v[None, :])[0])
+    s = float(body.ray_exit(q[None, :], v[None, :])[1][0])
     return q + s * v
 
 

@@ -45,9 +45,14 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-10
 # grid resolution for sampled reach scans and marker marching
 N_ARC = 512
-# cap on bisection halvings per marker; the split test usually ends it first
+# cap on bisection halvings per marker (not oracle rounds); the width and
+# split tests usually end it first
 MAX_HALVINGS = 64
+# bisection halvings per oracle round of first_marker: one call evaluates the
+# 2**TREE_DEPTH - 1 midpoints below each open bracket
+TREE_DEPTH = 4
 # rows per oracle call in batched marker scans and the multiplicity probe
+# (bisection rounds are not split: 2**TREE_DEPTH - 1 rows per open bracket)
 ROW_BUDGET = 4096
 # pairwise sample count for sampled arc diameters
 N_DIAM = 128
@@ -82,8 +87,7 @@ class SphereField:
         """Backward and forward exit lengths (a, b) of the rays at angles thetas."""
         thetas = np.asarray(thetas, dtype=float)
         U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        O = np.broadcast_to(self.o, U.shape)
-        return self.body.ray_exit(O, -U), self.body.ray_exit(O, U)
+        return self.body.ray_exit(np.broadcast_to(self.o, U.shape), U)
 
     def points(self, thetas: np.ndarray, ts) -> np.ndarray:
         thetas = np.asarray(thetas, dtype=float)
@@ -176,12 +180,15 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     Arc k runs from ``starts[k]`` to ``ends[k]``.  A uniform grid of
     N_ARC + 1 angles per arc is scanned, ROW_BUDGET // (N_ARC + 1) arcs per
     oracle call, and each arc's first bracket crossing R is refined by
-    bisection, one oracle call per step for all open brackets.  A bracket
+    bisection.  Each oracle round evaluates, for all open brackets at once,
+    the midpoints of the next TREE_DEPTH levels of the bisection tree below
+    them, then takes up to TREE_DEPTH halvings down that tree.  A bracket
     closes once it is no wider than ANGLE_TOL, after MAX_HALVINGS halvings,
     or when its midpoint no longer splits it, so each arc follows the same
-    steps whatever else is in the batch.  Assumes only continuity of the
-    distance along the arc.  Holds NaN for an arc that is empty or whose
-    sampled points never reach distance R from its start.
+    steps as one halving per round, whatever else is in the batch.  Assumes
+    only continuity of the distance along the arc.  Holds NaN for an arc
+    that is empty or whose sampled points never reach distance R from its
+    start.
     """
     field = level.field()
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
@@ -205,17 +212,45 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
         p0[c + found] = P[found, 0]
 
     live = np.nonzero(hi - lo > ANGLE_TOL)[0]
-    for _ in range(MAX_HALVINGS):
-        mid = 0.5 * (lo[live] + hi[live])
-        splits = (lo[live] < mid) & (mid < hi[live])
-        live, mid = live[splits], mid[splits]
-        if live.size == 0:
-            break
-        up = field.dist_from(p0[live], field.points(mid, level.radius)) >= R
-        hi[live[up]] = mid[up]
-        lo[live[~up]] = mid[~up]
-        live = live[hi[live] - lo[live] > ANGLE_TOL]
+    halvings = 0
+    while live.size and halvings < MAX_HALVINGS:
+        depth = min(TREE_DEPTH, MAX_HALVINGS - halvings)
+        up = np.zeros((lo.size, 2**depth - 1), dtype=bool)
+        up[live] = _crossing_tree(field, level.radius, R, p0[live], lo[live], hi[live], depth)
+        node = np.zeros(lo.size, dtype=int)
+        for _ in range(depth):
+            mid = 0.5 * (lo[live] + hi[live])
+            splits = (lo[live] < mid) & (mid < hi[live])
+            live, mid = live[splits], mid[splits]
+            if live.size == 0:
+                break
+            u = up[live, node[live]]
+            hi[live[u]] = mid[u]
+            lo[live[~u]] = mid[~u]
+            node[live] = 2 * node[live] + np.where(u, 1, 2)   # node 2j + 1 is (lo, mid)
+            live = live[hi[live] - lo[live] > ANGLE_TOL]
+            halvings += 1
     return 0.5 * (lo + hi)
+
+
+def _crossing_tree(field: SphereField, radius: float, R: float, p0, lo, hi, depth: int) -> np.ndarray:
+    """``d(p0, point(mid)) >= R`` at the midpoint of every bracket in the first
+    ``depth`` levels of bisection below each [lo, hi], one oracle call for all.
+
+    Row k holds bracket k's 2**depth - 1 nodes in heap order: node j splits
+    into children 2j + 1 (lower half) and 2j + 2 (upper half).  Midpoints are
+    formed from the bracket ends exactly as the bisection forms them.
+    """
+    L, H = lo[:, None], hi[:, None]
+    mids = []
+    for _ in range(depth):
+        M = 0.5 * (L + H)
+        mids.append(M)
+        L = np.stack([L, M], axis=2).reshape(L.shape[0], -1)
+        H = np.stack([M, H], axis=2).reshape(H.shape[0], -1)
+    thetas = np.concatenate(mids, axis=1)
+    d = field.dist_from(np.repeat(p0, thetas.shape[1], axis=0), field.points(thetas.ravel(), radius))
+    return d.reshape(thetas.shape) >= R
 
 
 def decompose_arc(level: SphereLevel, starts, ends, R: float) -> list[list[float]]:

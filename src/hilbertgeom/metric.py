@@ -147,9 +147,8 @@ def ray_spec(body: ConvexBody, base, direction) -> RaySpec:
     u = as_direction(direction, body.dimension)
     if classify(body, o) is not Region.INTERIOR:
         raise ExteriorPoint("ray base must be interior")
-    b = float(body.ray_exit(o[None, :], u[None, :])[0])
-    a = float(body.ray_exit(o[None, :], -u[None, :])[0])
-    return RaySpec(_read_only(o), _read_only(u), a, b)
+    a, b = body.ray_exit(o[None, :], u[None, :])
+    return RaySpec(_read_only(o), _read_only(u), float(a[0]), float(b[0]))
 
 
 def _ray_param(a, b, t):
@@ -162,8 +161,7 @@ def _ray_param(a, b, t):
 def ray_points(body: ConvexBody, P: np.ndarray, U: np.ndarray, t) -> np.ndarray:
     """Points at Hilbert distance t (scalar or per row) from interior rows P
     along unit rows U; unchecked fast path, parameter clamped below the exit."""
-    b = body.ray_exit(P, U)
-    a = body.ray_exit(P, -U)
+    a, b = body.ray_exit(P, U)
     return P + _ray_param(a, b, t)[:, None] * U
 
 
@@ -282,9 +280,9 @@ def concurrency_defects(body: ConvexBody, O, A2, B2) -> ConcurrencyRows:
     UA = VA[live] / NA[live, None]
     UB = VB[live] / NB[live, None]
     # tails behind o, the pair a2, b2, heads beyond a2 and b2
-    ends = [(o - body.ray_exit(o, -UA)[:, None] * UA, o - body.ray_exit(o, -UB)[:, None] * UB),
+    ends = [(o - body.ray_exit(o, UA)[0][:, None] * UA, o - body.ray_exit(o, UB)[0][:, None] * UB),
             (a, b),
-            (a + body.ray_exit(a, UA)[:, None] * UA, b + body.ray_exit(b, UB)[:, None] * UB)]
+            (a + body.ray_exit(a, UA)[1][:, None] * UA, b + body.ray_exit(b, UB)[1][:, None] * UB)]
     D = [q - p for p, q in ends]
     seps = np.stack([np.linalg.norm(d, axis=1) for d in D])
     ok = np.all(seps > TAU_P, axis=0)

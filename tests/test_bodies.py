@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,8 @@ from hilbertgeom.errors import (
     NonConvex,
     Unbounded,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_polygon_keeps_ccw_vertices(square):
@@ -123,8 +126,23 @@ def test_polygon_diameter_is_largest_vertex_distance(heptagon):
 def test_polygon_ray_exit_emits_no_warning(square):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        s = square.ray_exit([[0.0, 0.5]], [[1.0, 1e-309]])
+        s = square.ray_exit([[0.0, 0.5]], [[1.0, 1e-309]])[1]
     assert s[0] == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("name, base", [("unit_disk", (1.0, 0.0)), ("ellipse21", (2.0, 0.0)),
+                                        ("square", (1.0, 0.0))])
+def test_ray_exit_rejects_a_base_on_the_boundary(request, name, base):
+    # a base exactly on the boundary has a zero exit on one side, which
+    # distance_pairs would divide by
+    body = request.getfixturevalue(name)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for u in ((1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)):
+            with pytest.raises(ExteriorBase):
+                body.ray_exit([base], [u])
+        with pytest.raises(ExteriorBase):
+            distance_pairs(body, [base], [(0.0, 0.0)])
 
 
 def test_polytope_square_matches_polygon_square(square, square_polytope):
@@ -334,9 +352,9 @@ def _kernel_outputs(body, X, Y, U) -> list[np.ndarray]:
     N, b = body._normals, body._offsets
     return [
         bodies._constraint_gap(N, b, X),
-        bodies._constraint_exit(N, b, X, U),
+        *bodies._constraint_exit(N, b, X, U),
         # a broadcast base row, as sphere_points and SphereField pass it
-        bodies._constraint_exit(N, b, np.broadcast_to(X[0], X.shape), U),
+        *bodies._constraint_exit(N, b, np.broadcast_to(X[0], X.shape), U),
         *bodies._constraint_pairs(N, b, X, Y),
     ]
 
@@ -437,3 +455,59 @@ def test_blocked_sample_interior_peak_is_a_few_row_vectors():
     m = 100_000
     rng = np.random.default_rng(6)
     assert _peak_bytes(lambda: sample_interior(body, m, rng)) < 16 * m * 8
+
+
+# -- the two-sided ray exit ----------------------------------------------------
+
+BENCH_BODIES = sorted(p.stem for p in (ROOT / "perfbench" / "bodies").glob("*.json"))
+
+
+@pytest.fixture(scope="module", params=BENCH_BODIES)
+def bench_body(request):
+    return bodies.load_body(str(ROOT / "perfbench" / "bodies" / f"{request.param}.json"))
+
+
+def _exits_are_mirrored(body, P, U):
+    back, fwd = body.ray_exit(P, U)
+    assert np.all(back > 0.0) and np.all(fwd > 0.0)
+    rback, rfwd = body.ray_exit(P, -U)
+    return np.array_equal(rback, fwd) and np.array_equal(rfwd, back)
+
+
+def test_ray_exit_sides_mirror_bit_for_bit(bench_body):
+    # negation is exact, so the exits along -U are the exits along U swapped
+    rng = np.random.default_rng(8)
+    P = sample_interior(bench_body, 100_000, rng)
+    U = _unit_rows(rng, P.shape)
+    for m in (1, 7, 64, 4097, 100_000):
+        assert _exits_are_mirrored(bench_body, P[:m], U[:m]), f"{m} rows"
+        assert _exits_are_mirrored(bench_body, P[:1], U[:m]), f"{m} rows, one base"
+        assert _exits_are_mirrored(bench_body, P[:m], U[:1]), f"{m} rows, one direction"
+
+
+def test_ray_exit_sides_end_on_the_boundary(bench_body):
+    rng = np.random.default_rng(9)
+    P = sample_interior(bench_body, 500, rng)
+    U = _unit_rows(rng, P.shape)
+    back, fwd = bench_body.ray_exit(P, U)
+    tol = 1e-12 * bench_body.euclidean_diameter()
+    for ends in (P - back[:, None] * U, P + fwd[:, None] * U):
+        assert np.abs(bench_body.signed_gap(ends)).max() <= tol
+
+
+@pytest.mark.parametrize("toward", [True, False], ids=["body_ahead", "body_behind"])
+def test_ray_exit_rejects_an_exterior_row_on_either_side(bench_body, toward):
+    # an exterior base on a line through the body: its exits on one side
+    # would both be positive, and the other side would fail
+    rng = np.random.default_rng(10)
+    P = sample_interior(bench_body, 64, rng)
+    U = _unit_rows(rng, P.shape)
+    lo, hi = bench_body.bounding_box()
+    c = bench_body.interior_seed()
+    P[37] = c + 2.0 * (hi - lo)
+    U[37] = (c - P[37]) / np.linalg.norm(c - P[37]) * (1.0 if toward else -1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for V in (U, -U):
+            with pytest.raises(ExteriorBase):
+                bench_body.ray_exit(P, V)

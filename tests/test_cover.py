@@ -104,6 +104,62 @@ def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk, monkeypatch):
     assert field.dist_from(start, cut[None])[0] == pytest.approx(R, abs=1e-9)
 
 
+def _one_halving_first_marker(level, starts, ends, R):
+    """``first_marker`` with one bisection halving per oracle call, as it was
+    before the tree rounds; the reference for the test below."""
+    field = level.field()
+    starts = np.atleast_1d(np.asarray(starts, dtype=float))
+    ends = np.atleast_1d(np.asarray(ends, dtype=float))
+    lo = np.full(starts.shape, np.nan)
+    hi = np.full(starts.shape, np.nan)
+    p0 = np.zeros((starts.size, 2))
+    steps = np.arange(cover.N_ARC + 1)
+    per_call = max(1, cover.ROW_BUDGET // (cover.N_ARC + 1))
+    for c in range(0, starts.size, per_call):
+        s, e = starts[c:c + per_call], ends[c:c + per_call]
+        thetas = s[:, None] + (e - s)[:, None] * steps / cover.N_ARC
+        pts = field.points(thetas.ravel(), level.radius)
+        P = pts.reshape(s.size, cover.N_ARC + 1, 2)
+        d = field.dist_from(np.repeat(P[:, 0], cover.N_ARC + 1, axis=0), pts)
+        hit = d.reshape(s.size, cover.N_ARC + 1) >= R
+        k = hit.argmax(axis=1)
+        found = np.nonzero(hit.any(axis=1) & (k > 0) & (e > s))[0]
+        lo[c + found] = thetas[found, k[found] - 1]
+        hi[c + found] = thetas[found, k[found]]
+        p0[c + found] = P[found, 0]
+
+    live = np.nonzero(hi - lo > cover.ANGLE_TOL)[0]
+    for _ in range(cover.MAX_HALVINGS):
+        mid = 0.5 * (lo[live] + hi[live])
+        splits = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[splits], mid[splits]
+        if live.size == 0:
+            break
+        up = field.dist_from(p0[live], field.points(mid, level.radius)) >= R
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+        live = live[hi[live] - lo[live] > cover.ANGLE_TOL]
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("patch", [{}, {"ANGLE_TOL": 0.0}, {"MAX_HALVINGS": 5}],
+                         ids=["defaults", "angle_tol_0", "max_halvings_5"])
+@pytest.mark.parametrize("name", ["unit_disk", "ellipse21", "square", "square_polytope"])
+def test_tree_rounds_match_one_halving_bisection(request, monkeypatch, name, patch):
+    # MAX_HALVINGS = 5 is not a multiple of TREE_DEPTH, so the last round is short
+    body = request.getfixturevalue(name)
+    o = body.interior_seed()
+    for key, value in patch.items():
+        monkeypatch.setattr(cover, key, value)
+
+    def angles():
+        return np.concatenate([d.angles() for d in refine_to_depth(body, o, R, 5)])
+
+    tree = angles()
+    monkeypatch.setattr(cover, "first_marker", _one_halving_first_marker)
+    assert np.array_equal(tree, angles())
+
+
 def test_decompose_arc_names_the_first_arc_without_reach(unit_disk):
     lvl = SphereLevel(index=1, radius=R, body=unit_disk, base=np.zeros(2))
     starts = [0.0, 2.0, 4.0]

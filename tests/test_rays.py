@@ -35,8 +35,7 @@ def _batched_specs(body, P, U):
     Polygon exits go through a BLAS product whose last bit can depend on
     the batch size, so this keeps the comparison to the ray routine itself.
     """
-    b = body.ray_exit(P, U)
-    a = body.ray_exit(P, -U)
+    a, b = body.ray_exit(P, U)
     return [RaySpec(p, u, float(ak), float(bk)) for p, u, ak, bk in zip(P, U, a, b)]
 
 
@@ -70,8 +69,7 @@ def test_far_points_are_clamped_inside_the_exit(planar_body):
     o, thetas, _, _ = _rays(planar_body)
     U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
     O = np.broadcast_to(o, U.shape)
-    b = planar_body.ray_exit(O, U)
-    a = planar_body.ray_exit(O, -U)
+    a, b = planar_body.ray_exit(O, U)
     # exp(-60) is far below one ulp of an exit: the parameter saturates at
     # the clamp, the float just below the forward exit, in both routines
     s = _ray_param(a, b, 60.0)
@@ -92,3 +90,24 @@ def test_ray_points_round_trip_through_distance(planar_body):
         pts = ray_points(planar_body, np.broadcast_to(o, U.shape), U, t)
         got = np.array([distance(planar_body, o, p) for p in pts])
         assert np.allclose(got, np.broadcast_to(t, ts.shape), rtol=0.0, atol=1e-6)
+
+
+def test_each_chord_takes_one_ray_exit_call(planar_body, monkeypatch):
+    # both exits of a chord come from one two-sided oracle pass
+    calls = []
+    cls = type(planar_body)
+    original = cls.ray_exit
+
+    def counted(self, P, U):
+        calls.append(P)
+        return original(self, P, U)
+
+    monkeypatch.setattr(cls, "ray_exit", counted)
+    o, thetas, ts, _ = _rays(planar_body)
+    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    for run in (lambda: ray_points(planar_body, np.broadcast_to(o, U.shape), U, ts),
+                lambda: ray_spec(planar_body, o, U[0]),
+                lambda: SphereField(planar_body, o).exits(thetas)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
