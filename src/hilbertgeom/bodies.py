@@ -6,10 +6,10 @@ a Euclidean ball, or an intersection of halfspaces.  Everything downstream
 (the projective metric, sphere decompositions, probes) only talks to bodies
 through four primitives:
 
-* ``signed_gap``     negative inside, about zero on the boundary,
-* ``ray_exit``       the two exit lengths of a line, behind and ahead,
-* ``pair_rates``     the two chord terms of the Hilbert distance of a pair,
-* ``bounding_box``   a covering axis-aligned box.
+* ``signed_gap``      negative inside, about zero on the boundary,
+* ``ray_exit``        the two exit lengths of a line, behind and ahead,
+* ``pair_distances``  the Hilbert distances of row pairs,
+* ``bounding_box``    a covering axis-aligned box.
 
 ``ray_exit(P, U)`` returns ``(back, fwd)``: the lengths from each row of P
 to the boundary along -U and along U, from one pass (the two roots of one
@@ -22,11 +22,14 @@ rows), so every per-row min and max runs over axis 0.  The kernels run in row
 blocks of about ``SLACK_BLOCK`` elements per buffer, 64-row aligned so
 each result is bit-identical to one unblocked call.  The exits along unit
 ``u`` are ``1 / max_i (n_i . u / s_i(p))`` ahead and
-``-1 / min_i (n_i . u / s_i(p))`` behind, and ``pair_rates`` uses the Funk
-pair form ``d(x, y) = F(x, y) + F(y, x)``: with ``G = N (y - x)``,
+``-1 / min_i (n_i . u / s_i(p))`` behind, and ``pair_distances`` uses the
+Funk pair form ``d(x, y) = F(x, y) + F(y, x)``: with ``G = N (y - x)``,
 ``d(x, y) = log1p(max_i (-G_i) / s_i(x)) + log1p(max_i G_i / s_i(y))``,
-which forms no exit length and is bit-exactly symmetric.  Other kinds
-take ``pair_rates`` from the forward sides of two ``ray_exit`` calls.  A
+which forms no exit length and is bit-exactly symmetric.  Disks and
+ellipsoids are Beltrami-Klein models of hyperbolic space, so in unit-ball
+coordinates x, y with ``delta = x - y`` their ``pair_distances`` is the
+Cayley-Klein form ``sinh^2(d/2) = (|delta|^2 (1 - |y|^2) + (delta . y)^2)
+/ ((1 - |x|^2)(1 - |y|^2))``, which forms no exit length either.  A
 generic bisection oracle on ``signed_gap`` is exposed as
 ``boundary_hit_bisect`` to cross-check the closed forms.
 """
@@ -127,18 +130,13 @@ class ConvexBody(ABC):
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Covering axis-aligned box as (lower, upper) corner arrays."""
 
-    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rho/s_back, rho/s_fwd)`` for rows of distinct interior (m, n) arrays.
+    @abstractmethod
+    def pair_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Hilbert distances of the rows of distinct (m, n) arrays X and Y.
 
-        ``rho = |x - y|``; ``s_back`` is the exit length behind x (away from
-        y) and ``s_fwd`` the one beyond y, so
-        ``d(x, y) = log1p(rho/s_back) + log1p(rho/s_fwd)``.  This default
-        takes the forward side of two ``ray_exit`` calls.
+        Bit-exactly symmetric under X <-> Y.  A row that is not interior
+        raises ExteriorBase; rows closer than TAU_P are the caller's to mask.
         """
-        diff = X - Y
-        r = np.linalg.norm(diff, axis=1)
-        U = diff / r[:, None]
-        return r / self.ray_exit(X, U)[1], r / self.ray_exit(Y, -U)[1]
 
     @abstractmethod
     def interior_seed(self) -> np.ndarray:
@@ -239,11 +237,12 @@ def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray)
     return 1.0 / back, 1.0 / fwd
 
 
-def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray):
-    """``pair_rates`` for ``N x <= b`` on (m, n) arrays: the Funk pair form.
+def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``pair_distances`` for ``N x <= b`` on (m, n) arrays: the Funk pair form.
 
-    With ``G = N (Y - X)^T``, row k gives ``rho/s_back = max_i (-G_i) / s_i(x)``
-    and ``rho/s_fwd = max_i G_i / s_i(y)``, so no exit length, norm or unit
+    With ``G = N (Y - X)^T``, row k has ``rho/s_back = max_i (-G_i) / s_i(x)``
+    and ``rho/s_fwd = max_i G_i / s_i(y)`` and the distance
+    ``log1p(rho/s_back) + log1p(rho/s_fwd)``, so no exit length, norm or unit
     direction is formed.  Swapping X and Y negates G exactly, which swaps
     the two rates bit for bit.  Two (constraints, rows) buffers per row
     block: G, and the slacks of Y and then of X, divided in place.
@@ -261,7 +260,31 @@ def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray
         np.negative(np.divide(G, S, out=S).min(axis=0), out=back[rows])
     if not ((back > 0.0).all() and (fwd > 0.0).all()):
         raise ExteriorBase("chord does not exit the body")
-    return back, fwd
+    return np.log1p(back) + np.log1p(fwd)
+
+
+def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``pair_distances`` for the ellipsoid ``|M (p - c)| < 1``: the Cayley-Klein form.
+
+    In unit-ball coordinates w = M (x - c), v = M (y - c), held
+    coordinate-major, with ``delta = M (x - y)``, ``ax = 1 - |w|^2`` and
+    ``ay = 1 - |v|^2``: ``sinh^2(d/2) = (|delta|^2 ay + (delta . v)^2) / (ax ay)``.
+    The numerator is a sum of non-negative terms; averaging it with its
+    x <-> y twin ``|delta|^2 ax + (delta . w)^2`` makes the result bit-exactly
+    symmetric, because swapping X and Y negates delta exactly.
+    """
+    W = M @ (X - c).T
+    V = M @ (Y - c).T
+    D = M @ (X - Y).T
+    ax = 1.0 - np.einsum("ij,ij->j", W, W)
+    ay = 1.0 - np.einsum("ij,ij->j", V, V)
+    if not ((ax > 0.0).all() and (ay > 0.0).all()):
+        raise ExteriorBase("pair point is not inside the body")
+    dd = np.einsum("ij,ij->j", D, D)
+    dw = np.einsum("ij,ij->j", D, W)
+    dv = np.einsum("ij,ij->j", D, V)
+    num = (dd * ax + dw * dw) + (dd * ay + dv * dv)
+    return 2.0 * np.arcsinh(np.sqrt(num / (2.0 * (ax * ay))))
 
 
 class Polygon(ConvexBody):
@@ -319,7 +342,7 @@ class Polygon(ConvexBody):
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constraint_exit(self._normals, self._offsets, P, U)
 
-    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pair_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return _constraint_pairs(self._normals, self._offsets, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
@@ -346,6 +369,8 @@ class Disk(ConvexBody):
         super().__init__(c.shape[0])
         self.center = _read_only(c)
         self.radius = r
+        # body coords -> unit-ball coords
+        self._to_unit = _read_only(np.eye(c.shape[0]) / r)
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
         P = np.atleast_2d(P)
@@ -363,6 +388,9 @@ class Disk(ConvexBody):
             raise ExteriorBase("ray base is not inside the disk")
         root = np.sqrt(disc)
         return beta + root, root - beta
+
+    def pair_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return _quadric_pairs(self._to_unit, self.center, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         return self.center - self.radius, self.center + self.radius
@@ -445,6 +473,9 @@ class Ellipsoid(ConvexBody):
             raise ExteriorBase("ray base is not inside the ellipsoid")
         root = np.sqrt(disc)
         return (B + root) / A, (root - B) / A
+
+    def pair_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return _quadric_pairs(self._to_unit, self.center, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
         M = self.rotation * self.semi_axes[None, :]
@@ -535,7 +566,7 @@ class HalfspacePolytope(ConvexBody):
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _constraint_exit(self._normals, self._offsets, P, U)
 
-    def pair_rates(self, X: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def pair_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return _constraint_pairs(self._normals, self._offsets, X, Y)
 
     def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:

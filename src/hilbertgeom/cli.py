@@ -418,8 +418,10 @@ def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     rows.append(_row("ball_boundary_euclidean_convex", worst_cross, tol, 2 * m))
 
     rng = np.random.default_rng([seed, 6])
-    worst = max(projective_transfer_defect(rng) for _ in range(n))
-    rows.append(_row("cross_ratio_projective_invariance", worst, tol, n))
+    rejected: list[int] = []
+    worst = max(projective_transfer_defect(rng, rejected) for _ in range(n))
+    rows.append(_row("cross_ratio_projective_invariance", worst, tol, n,
+                     note=f"rejected_draws={sum(rejected)}"))
     return rows
 
 

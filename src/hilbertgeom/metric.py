@@ -103,20 +103,17 @@ def distance_pairs(body: ConvexBody, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     """Row-wise distances for interior point arrays of shape (m, n).
 
     Fast path without precondition checks; callers guarantee interior rows.
-    Each distance is ``log1p(rho/s_back) + log1p(rho/s_fwd)`` from the body's
-    ``pair_rates``; rows closer than TAU_P read 0.  Agrees with ``distance``
-    to machine precision.
+    Each distance comes from the body's ``pair_distances``; rows closer than
+    TAU_P read 0.  Agrees with ``distance`` to machine precision.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     live = np.linalg.norm(X - Y, axis=1) > TAU_P
     if live.all():   # the usual case, without the masked copies
-        back, fwd = body.pair_rates(X, Y)
-        return np.log1p(back) + np.log1p(fwd)
+        return body.pair_distances(X, Y)
     out = np.zeros(live.shape)
     if live.any():
-        back, fwd = body.pair_rates(X[live], Y[live])
-        out[live] = np.log1p(back) + np.log1p(fwd)
+        out[live] = body.pair_distances(X[live], Y[live])
     return out
 
 
@@ -334,20 +331,22 @@ def concurrency_defect(body: ConvexBody, o, a2, b2) -> ConcurrencyReport:
                              _read_only(rows.meeting[0]), float(rows.min_cross[0]))
 
 
-def projective_transfer_defect(rng: np.random.Generator) -> float:
+def projective_transfer_defect(rng: np.random.Generator, rejected: list[int] | None = None) -> float:
     """Cross-ratio disagreement for one random perspective configuration.
 
     Draws four ordered points on a source line and maps them to a target
     line, through a random center for half the draws and along a fixed
     parallel direction for the rest.  Returns |source cr - target cr|;
     a perspective map preserves the cross-ratio, so this measures only
-    numerical error.  Ill-conditioned draws (grazing projections, huge
-    cross-ratios) are rejected and redrawn, at most ``sampling._MAX_ROUNDS``
-    times before SamplingExhausted.
+    numerical error.  Ill-conditioned draws (source points closer than 0.2
+    or images closer than 1e-3, grazing projections, huge cross-ratios)
+    are rejected and redrawn, at most ``sampling._MAX_ROUNDS`` times before
+    SamplingExhausted; the number of rejected draws is appended to
+    ``rejected`` when it is given.
     """
     from . import sampling  # sampling imports this module, so bind the budget late
 
-    for _ in range(sampling._MAX_ROUNDS + 1):
+    for k in range(sampling._MAX_ROUNDS + 1):
         pA = rng.uniform(-1.0, 1.0, 2)
         dA = rng.normal(size=2)
         dA /= np.linalg.norm(dA)
@@ -378,6 +377,10 @@ def projective_transfer_defect(rng: np.random.Generator) -> float:
         if any(q is None for q in Q):
             continue
         q = np.array(Q)
+        # the images need a spacing floor as the source points do: images
+        # a few 1e-6 apart carry float64 rounding past the 1e-9 tolerance
+        if np.min(np.diff(np.sort(q @ dB))) < 1e-3:
+            continue
 
         cr_src = cross_ratio(P[1], P[2], Chord(tail=P[0], head=P[3]))
         num = float(np.linalg.norm(q[1] - q[3]) * np.linalg.norm(q[2] - q[0]))
@@ -387,6 +390,8 @@ def projective_transfer_defect(rng: np.random.Generator) -> float:
         cr_dst = num / den
         if not (1e-2 < cr_dst < 1e2):
             continue
+        if rejected is not None:
+            rejected.append(k)
         return abs(cr_src - cr_dst)
     raise SamplingExhausted(
         f"no well-conditioned perspective configuration in {sampling._MAX_ROUNDS + 1} draws")

@@ -275,19 +275,22 @@ def blocked_body(request):
     return _constraint_body(request)
 
 
-def _pair_distance(rates) -> np.ndarray:
-    back, fwd = rates
-    return np.log1p(back) + np.log1p(fwd)
+def _two_exit_distances(body, X, Y) -> np.ndarray:
+    """Reference distances from the forward sides of two ``ray_exit`` calls."""
+    diff = X - Y
+    r = np.linalg.norm(diff, axis=1)
+    U = diff / r[:, None]
+    return np.log1p(r / body.ray_exit(X, U)[1]) + np.log1p(r / body.ray_exit(Y, -U)[1])
 
 
 def _max_rel_gap(body, X, Y) -> float:
-    fast = _pair_distance(body.pair_rates(X, Y))
-    ref = _pair_distance(ConvexBody.pair_rates(body, X, Y))
+    fast = body.pair_distances(X, Y)
+    ref = _two_exit_distances(body, X, Y)
     return float(np.max(np.abs(fast - ref) / ref))
 
 
 def test_constraint_pair_rates_match_two_exit_default(constraint_body):
-    # The Funk pair form rounds fewer times than the two-exit default (no
+    # The Funk pair form rounds fewer times than the two-exit form (no
     # norm, unit direction or reciprocal), so the gap measures both forms'
     # rounding; on the heptagon it reaches about 5e-15 over seeds 0-19.
     rng = np.random.default_rng(0)
@@ -317,7 +320,7 @@ def test_constraint_pair_rates_reject_exterior_rows(constraint_body, side):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ExteriorBase):
-            constraint_body.pair_rates(X, Y)
+            constraint_body.pair_distances(X, Y)
         with pytest.raises(ExteriorBase):
             distance_pairs(constraint_body, X, Y)
 
@@ -355,7 +358,7 @@ def _kernel_outputs(body, X, Y, U) -> list[np.ndarray]:
         *bodies._constraint_exit(N, b, X, U),
         # a broadcast base row, as sphere_points and SphereField pass it
         *bodies._constraint_exit(N, b, np.broadcast_to(X[0], X.shape), U),
-        *bodies._constraint_pairs(N, b, X, Y),
+        bodies._constraint_pairs(N, b, X, Y),
     ]
 
 
@@ -511,3 +514,126 @@ def test_ray_exit_rejects_an_exterior_row_on_either_side(bench_body, toward):
         for V in (U, -U):
             with pytest.raises(ExteriorBase):
                 bench_body.ray_exit(P, V)
+
+
+# -- the Cayley-Klein pair kernel of disks and ellipsoids -----------------------
+
+QUADRICS = ["disk", "ellipse", "ellipsoid3"]
+
+
+@pytest.fixture(scope="module", params=QUADRICS)
+def quadric_body(request):
+    return bodies.load_body(str(ROOT / "perfbench" / "bodies" / f"{request.param}.json"))
+
+
+def _pair_sample(body, m, seed):
+    rng = np.random.default_rng(seed)
+    return sample_interior(body, m, rng), sample_interior(body, m, rng)
+
+
+def test_quadric_distance_pairs_symmetry_is_bit_exact(quadric_body):
+    X, Y = _pair_sample(quadric_body, 100_000, 11)
+    for m in (1, 7, 64, 4097, 100_000):
+        d = distance_pairs(quadric_body, X[:m], Y[:m])
+        assert np.array_equal(d, distance_pairs(quadric_body, Y[:m], X[:m])), f"{m} rows"
+
+
+def test_quadric_pair_distances_match_two_exit_form(quadric_body):
+    # the two forms round differently; they part most near the boundary,
+    # where 1 - |w|^2 cancels in both
+    X, Y = _pair_sample(quadric_body, 20_000, 12)
+    assert _max_rel_gap(quadric_body, X, Y) <= 1e-11
+    rng = np.random.default_rng(13)
+    X = sample_interior(quadric_body, 2000, rng, clearance=1e-6)
+    assert _max_rel_gap(quadric_body, X, X + 1e-9 * _unit_rows(rng, X.shape)) <= 1e-12
+
+
+def _boundary_point(body) -> np.ndarray:
+    """A point with unit coordinates exactly (1, 0, ...)."""
+    p = body.center + np.linalg.solve(body._to_unit, np.eye(body.dimension)[0])
+    w = body._to_unit @ (p - body.center)
+    assert 1.0 - w @ w == 0.0
+    return p
+
+
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_quadric_pairs_reject_a_boundary_row(quadric_body, side):
+    X, Y = _pair_sample(quadric_body, 50, 14)
+    (X if side == "x" else Y)[17] = _boundary_point(quadric_body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ExteriorBase):
+            quadric_body.pair_distances(X, Y)
+        with pytest.raises(ExteriorBase):
+            distance_pairs(quadric_body, X, Y)
+
+
+def test_quadric_distance_pairs_make_no_ray_exit_calls(quadric_body, monkeypatch):
+    calls = []
+    real = type(quadric_body).ray_exit
+
+    def counted(self, P, U):
+        calls.append(len(P))
+        return real(self, P, U)
+
+    monkeypatch.setattr(type(quadric_body), "ray_exit", counted)
+    X, Y = _pair_sample(quadric_body, 1000, 15)
+    distance_pairs(quadric_body, X, Y)
+    assert calls == []
+    _two_exit_distances(quadric_body, X, Y)
+    assert calls == [1000, 1000]
+
+
+def _mp_distance(mp, body, x, y):
+    """50-digit log cross ratio of the chord through x, y, in unit coordinates.
+
+    The bench quadrics are axis-aligned with power-of-two semi-axes, so
+    their ``_to_unit`` and the unit coordinates of float64 points are exact.
+    """
+    M = body._to_unit
+    w = [mp.fsum(mp.mpf(M[i, j]) * (mp.mpf(x[j]) - mp.mpf(body.center[j]))
+                 for j in range(body.dimension)) for i in range(body.dimension)]
+    v = [mp.fsum(mp.mpf(M[i, j]) * (mp.mpf(y[j]) - mp.mpf(body.center[j]))
+                 for j in range(body.dimension)) for i in range(body.dimension)]
+    e = [b - a for a, b in zip(w, v)]
+    # the line w + s e meets the sphere at the roots s0 < 0 < 1 < s1
+    A = mp.fsum(c * c for c in e)
+    B = mp.fsum(a * c for a, c in zip(w, e))
+    C = mp.fsum(a * a for a in w) - 1
+    root = mp.sqrt(B * B - A * C)
+    s0, s1 = (-B - root) / A, (-B + root) / A
+    return mp.log(s1 * (1 - s0) / (-s0 * (s1 - 1)))
+
+
+def test_quadric_pairs_against_50_digits(quadric_body):
+    mpmath = pytest.importorskip("mpmath")
+    M = quadric_body._to_unit
+    assert np.array_equal(M, np.diag(np.diag(M)))
+    assert np.array_equal(np.diag(M), 2.0 ** np.round(np.log2(np.diag(M))))
+
+    def rel_errors(A, B):
+        with mpmath.workdps(50):
+            ref = np.array([float(_mp_distance(mpmath, quadric_body, a, b)) for a, b in zip(A, B)])
+        return [np.abs(d - ref) / ref for d in (quadric_body.pair_distances(A, B),
+                                                _two_exit_distances(quadric_body, A, B))]
+
+    # the 20 rows where the two forms part most lie near the boundary (d about 9-16)
+    X, Y = _pair_sample(quadric_body, 100_000, 0)
+    klein, two = quadric_body.pair_distances(X, Y), _two_exit_distances(quadric_body, X, Y)
+    far = np.argsort(np.abs(klein - two) / two)[-20:]
+    err_klein, err_two = rel_errors(X[far], Y[far])
+    assert err_klein.max() <= err_two.max()
+    assert err_klein.max() <= 1e-12
+
+    # Pairs 1e-9 apart: in both forms the error scales with the rounding of
+    # 1 - |w|^2, so the raw worst row is a toss-up between the forms.  Weighed
+    # by that conditioning, eps / (1 - |w|^2), the Cayley-Klein form stays
+    # under it on every row and the two-exit form does not.
+    rng = np.random.default_rng(16)
+    Xn = sample_interior(quadric_body, 300, rng, clearance=1e-6)
+    Yn = Xn + 1e-9 * _unit_rows(rng, Xn.shape)
+    err_klein, err_two = rel_errors(Xn, Yn)
+    W, V = M @ Xn.T, M @ Yn.T
+    floor = np.finfo(float).eps / np.minimum(1.0 - (W * W).sum(axis=0), 1.0 - (V * V).sum(axis=0))
+    assert (err_klein / floor).max() <= (err_two / floor).max()
+    assert np.all(err_klein <= floor)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hilbertgeom import cli
+from hilbertgeom import cli, metric
 from hilbertgeom.cli import _build_parser, main
 from hilbertgeom.svgout import fmt6, render_ball, render_body, render_cover
 
@@ -283,6 +283,29 @@ def test_verify_csv_header(disk_json, tmp_path, capsys):
     capsys.readouterr()
     head = (out / "verify_metric.csv").read_text().splitlines()[0]
     assert head == "suite,invariant,passed,defect,tolerance,samples,note"
+
+
+@pytest.mark.parametrize("seed", [295, 322, 369])
+def test_projective_invariance_holds_at_seeds_with_crowded_images(seed):
+    # Without a spacing floor on the target line, two images 3.2e-6 apart
+    # put the worst defect of the metric suite's 200 draws at 1.8e-9 to 2.6e-9.
+    rng = np.random.default_rng([seed, 6])
+    assert max(metric.projective_transfer_defect(rng) for _ in range(200)) <= 1e-9
+
+
+def test_verify_metric_notes_rejected_perspective_draws(disk_json, tmp_path, capsys):
+    out = tmp_path / "v"
+    assert main(["verify", "--body", disk_json, "--suite", "metric",
+                 "--seed", "295", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = json.loads((out / "verify_metric.json").read_text())["rows"]
+    row = next(r for r in rows if r["name"] == "cross_ratio_projective_invariance")
+    rng = np.random.default_rng([295, 6])
+    rejected = []
+    for _ in range(200):
+        metric.projective_transfer_defect(rng, rejected)
+    assert row["passed"] and row["note"] == f"rejected_draws={sum(rejected)}"
+    assert sum(rejected) > 0
 
 
 def test_verify_unattainable_tolerance_exits_3(disk_json, tmp_path, capsys):
