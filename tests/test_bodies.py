@@ -590,11 +590,13 @@ def _mp_distance(mp, body, x, y):
     The bench quadrics are axis-aligned with power-of-two semi-axes, so
     their ``_to_unit`` and the unit coordinates of float64 points are exact.
     """
-    M = body._to_unit
-    w = [mp.fsum(mp.mpf(M[i, j]) * (mp.mpf(x[j]) - mp.mpf(body.center[j]))
-                 for j in range(body.dimension)) for i in range(body.dimension)]
-    v = [mp.fsum(mp.mpf(M[i, j]) * (mp.mpf(y[j]) - mp.mpf(body.center[j]))
-                 for j in range(body.dimension)) for i in range(body.dimension)]
+    M, c, n = body._to_unit, body.center, body.dimension
+
+    def unit(p):
+        return [mp.fsum(mp.mpf(M[i, j]) * (mp.mpf(p[j]) - mp.mpf(c[j])) for j in range(n))
+                for i in range(n)]
+
+    w, v = unit(x), unit(y)
     e = [b - a for a, b in zip(w, v)]
     # the line w + s e meets the sphere at the roots s0 < 0 < 1 < s1
     A = mp.fsum(c * c for c in e)
