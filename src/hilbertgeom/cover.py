@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, Region, as_point, classify, _read_only
+from .bodies import SLACK_BLOCK, ConvexBody, Region, as_point, classify, _read_only
 from .errors import (
     ArcMarchExhausted,
     ArcReachViolation,
@@ -51,7 +51,8 @@ MAX_HALVINGS = 64
 # bisection halvings per oracle round of first_marker: one call evaluates the
 # 2**TREE_DEPTH - 1 midpoints below each open bracket
 TREE_DEPTH = 4
-# rows per oracle call in batched marker scans and the multiplicity probe
+# rows per oracle call in the batched marker scans of first_marker and in
+# svgout.render_cover
 # (bisection rounds are not split: 2**TREE_DEPTH - 1 rows per open bracket)
 ROW_BUDGET = 4096
 # pairwise sample count for sampled arc diameters
@@ -479,20 +480,9 @@ class CoverPiece:
 
     def sample_rays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Angles and radii of the boundary samples (arcs, then radial sides);
-        the count depends only on n."""
-        n_arc = max(4, n * 3 // 8)
-        n_side = max(2, (n - 2 * n_arc) // 2)
-        if self.level == 0:
-            total = 2 * (n_arc + 1) + 2 * n_side
-            thetas = self.theta_start + self.width * np.arange(total) / total
-            return thetas, np.full(total, self.r_outer)
-        thetas = self.theta_start + self.width * np.arange(n_arc + 1) / n_arc
-        ts = np.linspace(self.r_inner, self.r_outer, n_side + 2)[1:-1]
-        angles = np.concatenate([thetas, thetas, np.full(n_side, self.theta_start),
-                                 np.full(n_side, self.theta_end)])
-        radii = np.concatenate([np.full(n_arc + 1, self.r_inner),
-                                np.full(n_arc + 1, self.r_outer), ts, ts])
-        return angles, radii
+        the count depends only on n.  The one-row form of ``_sample_rays``."""
+        angles, radii = _sample_rays(*_piece_table([self]), n)
+        return angles[0], radii[0]
 
     def boundary_samples(self, n: int) -> np.ndarray:
         """Boundary points (arcs and radial sides); the count depends only on n."""
@@ -506,6 +496,36 @@ def _in_sectors(t, theta, r_inner, r_outer, theta_start, width, full, tol: float
     off = np.where(off < 0.0, off + TWO_PI, off)
     in_band = (r_inner - tol <= t) & (t <= r_outer + tol)
     return in_band & (full | (off <= width + tol) | (off >= TWO_PI - tol))
+
+
+def _piece_table(pieces: Sequence[CoverPiece]) -> tuple[np.ndarray, ...]:
+    """Start angles, widths, inner and outer radii and level-0 flags of the pieces."""
+    return tuple(np.array(col) for col in zip(*[
+        (p.theta_start, p.width, p.r_inner, p.r_outer, p.level == 0) for p in pieces]))
+
+
+def _sample_rays(start, width, r_in, r_out, full, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sample angles and radii of every piece, one row per piece.
+
+    A sector row holds the inner arc and the outer arc at n_arc + 1 angles
+    each, then n_side points on each radial side, strictly between the two
+    radii and equally spaced as ``np.linspace`` spaces them; a ``full`` row
+    (the central ball) holds its outer circle at the same total count.
+    """
+    n_arc = max(4, n * 3 // 8)
+    n_side = max(2, (n - 2 * n_arc) // 2)
+    m = 2 * (n_arc + 1) + 2 * n_side
+    start, width = start[:, None], width[:, None]
+    r_in, r_out = r_in[:, None], r_out[:, None]
+    arc = start + width * np.arange(n_arc + 1) / n_arc
+    side = r_in + np.arange(1, n_side + 1) * ((r_out - r_in) / (n_side + 1))
+    angles = np.hstack([arc, arc, np.repeat(start, n_side, axis=1),
+                        np.repeat(start + width, n_side, axis=1)])
+    radii = np.hstack([np.repeat(r_in, n_arc + 1, axis=1), np.repeat(r_out, n_arc + 1, axis=1),
+                       side, side])
+    angles[full] = start[full] + width[full] * np.arange(m) / m
+    radii[full] = r_out[full]
+    return angles, radii
 
 
 def build_cover(body: ConvexBody, o, R: float, levels: int) -> list[CoverPiece]:
@@ -584,35 +604,45 @@ def multiplicity_probe(
     the count is a lower bound for the true multiplicity and can only miss
     grazing contacts.
 
-    Trials run in chunks of ROW_BUDGET // len(pieces), each against the
-    pieces whose radial band lies within r of the trial radius.  A pair is
-    skipped without distance evaluation when 2 log1p(g / D) > r + 1e-9,
-    where g is the Euclidean distance from the center to the bounding box
-    of the piece's samples and D the body's Euclidean diameter: every
-    distance is log1p(rho / s_back) + log1p(rho / s_fwd) with Euclidean gap
-    rho >= g and exits s <= D, so no skipped sample lies within r.  The
-    rest are evaluated at most ROW_BUDGET distance rows per call.
+    Whether a piece is a candidate depends only on its radial band
+    (r_inner, r_outer), which must lie within r + 1e-9 of the trial radius
+    T = d(o, x).  The pieces are grouped by band, each trial is tested
+    against the few distinct bands, and (trial, piece) pairs are formed
+    only for the bands that pass.  A pair whose center lies inside the
+    piece is counted without distance evaluation.  Two exact bounds prune
+    the rest:
+
+    * a pair is skipped when 2 log1p(g / D) > r + 1e-9, where g is the
+      Euclidean distance from the center to the bounding box of the
+      piece's samples and D the body's Euclidean diameter, since
+      d(x, y) >= 2 log1p(|x - y| / D);
+    * a sample s at radius t_s is skipped when |T - t_s| > r + 1e-9, since
+      d(x, s) >= |d(o, x) - d(o, s)| by the triangle inequality.
+
+    The remaining samples of a block of SLACK_BLOCK // len(pieces) trials
+    are measured in one ``distance_pairs`` call.
     """
     if not pieces:
         raise ValueError("empty cover")
-    ball = next(p for p in pieces if p.level == 0)
+    ball = next((p for p in pieces if p.level == 0), None)
+    if ball is None:
+        raise ValueError("cover has no central ball")
     R = ball.r_outer
     if not R > 4.0 * r:
         raise BadRadii(f"multiplicity probe requires R > 4r, got R={R:g}, r={r:g}")
     body = ball.body
     field = SphereField(body, ball.base)
 
-    rays = [p.sample_rays(PROBE_SAMPLES) for p in pieces]
-    m = rays[0][0].size
-    samples = field.points(np.concatenate([a for a, _ in rays]),
-                           np.concatenate([t for _, t in rays])).reshape(len(pieces), m, 2)
+    starts, widths, r_in, r_out, full = _piece_table(pieces)
+    angles, radii = _sample_rays(starts, widths, r_in, r_out, full, PROBE_SAMPLES)
+    samples = field.points(angles.ravel(), radii.ravel()).reshape(*angles.shape, 2)
     box_lo, box_hi = samples.min(axis=1), samples.max(axis=1)
-    r_in = np.array([p.r_inner for p in pieces])
-    r_out = np.array([p.r_outer for p in pieces])
-    starts = np.array([p.theta_start for p in pieces])
-    widths = np.array([p.width for p in pieces])
-    full = np.array([p.level == 0 for p in pieces])
     diameter = body.euclidean_diameter()
+    # pieces grouped by band: band k holds pieces by_band[first[k]:first[k + 1]]
+    bands, band_of = np.unique(np.stack([r_in, r_out], axis=1), axis=0, return_inverse=True)
+    band_of = band_of.ravel()
+    by_band = np.argsort(band_of, kind="stable")
+    first = np.concatenate([[0], np.cumsum(np.bincount(band_of))])
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, TWO_PI, trials)
@@ -620,22 +650,25 @@ def multiplicity_probe(
     centers = field.points(thetas, ts)
 
     counts = np.zeros(trials, dtype=int)
-    chunk = max(1, ROW_BUDGET // len(pieces))
-    pairs_per_call = max(1, ROW_BUDGET // m)
-    for c in range(0, trials, chunk):
-        X, T, TH = centers[c:c + chunk], ts[c:c + chunk, None], thetas[c:c + chunk, None]
-        cand = (r_in - r - 1e-9 <= T) & (T <= r_out + r + 1e-9)
-        # d(x, y) >= 2 log1p(|x - y| / D) >= 2 log1p(gap / D) for each sample y of a piece
-        gap = np.linalg.norm(np.maximum(np.maximum(box_lo - X[:, None], X[:, None] - box_hi), 0.0),
-                             axis=2)
-        ti, pi = np.nonzero(cand & (2.0 * np.log1p(gap / diameter) <= r + 1e-9))
-        near = np.zeros(cand.shape, dtype=bool)
-        for k in range(0, ti.size, pairs_per_call):
-            a, b = ti[k:k + pairs_per_call], pi[k:k + pairs_per_call]
-            d = distance_pairs(body, np.repeat(X[a], m, axis=0), samples[b].reshape(-1, 2))
-            near[a, b] = d.reshape(-1, m).min(axis=1) <= r
-        inside = _in_sectors(T, TH, r_in, r_out, starts, widths, full)
-        counts[c:c + chunk] = np.count_nonzero(cand & (near | inside), axis=1)
+    block = max(1, SLACK_BLOCK // len(pieces))
+    for c in range(0, trials, block):
+        T = ts[c:c + block, None]
+        ti, bi = np.nonzero((bands[:, 0] - r - 1e-9 <= T) & (T <= bands[:, 1] + r + 1e-9))
+        size = first[bi + 1] - first[bi]
+        rank = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        ti = np.repeat(ti + c, size)
+        pi = by_band[np.repeat(first[bi], size) + rank]
+        inside = _in_sectors(ts[ti], thetas[ti], r_in[pi], r_out[pi], starts[pi], widths[pi], full[pi])
+        met = ti[inside]
+        ti, pi = ti[~inside], pi[~inside]
+        X = centers[ti]
+        gap = np.linalg.norm(np.maximum(np.maximum(box_lo[pi] - X, X - box_hi[pi]), 0.0), axis=1)
+        keep = 2.0 * np.log1p(gap / diameter) <= r + 1e-9
+        ti, pi = ti[keep], pi[keep]
+        k, s = np.nonzero(np.abs(ts[ti, None] - radii[pi]) <= r + 1e-9)
+        near = np.zeros(ti.size, dtype=bool)
+        near[k[distance_pairs(body, centers[ti[k]], samples[pi[k], s]) <= r]] = True
+        counts[c:c + block] = np.bincount(np.concatenate([met, ti[near]]) - c, minlength=T.shape[0])
 
     hist: dict[int, int] = {}
     for count in counts.tolist():

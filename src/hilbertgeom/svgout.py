@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .bodies import ConvexBody
-from .cover import CoverPiece, SphereField, TWO_PI
+from .cover import ROW_BUDGET, CoverPiece, SphereField, TWO_PI
 
 VIEW = 1000.0
 MARGIN = 40.0
@@ -102,8 +102,7 @@ def render_ball(body: ConvexBody, ball_points: np.ndarray, center) -> str:
 def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
     """Each piece's outer arc and, off level 0, its two radial sides.
 
-    One ``SphereField.points`` call per piece gives all its polyline
-    points, mapped to the viewport together.
+    Consecutive pieces share one oracle call of at most ROW_BUDGET rows.
     """
     frame, outline = _frame_for(body)
     lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
@@ -111,23 +110,41 @@ def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
         return _document(lines)
     field = SphereField(body, pieces[0].base)
     lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
+    # a piece has at most ARC_SAMPLES + 33 rows: its outer arc and two 16-point sides
+    per_call = max(1, ROW_BUDGET // (ARC_SAMPLES + 33))
+    for c in range(0, len(pieces), per_call):
+        lines += _piece_polylines(frame, field, pieces[c:c + per_call])
+    return _document(lines)
+
+
+def _piece_polylines(frame: Frame, field: SphereField, pieces: list[CoverPiece]) -> list[str]:
+    """One ``SphereField.points`` call gives the polyline points of all the
+    pieces, mapped to the viewport together and then sliced per piece."""
     steps = np.arange(ARC_SAMPLES + 1)
     k = steps.size
+    thetas, radii = [], []
     for p in pieces:
-        # pieces are colored by level parity so neighbours contrast
-        color = PALETTE[p.level % 2]
         if p.level == 0:
-            arc = field.points(p.width * steps / ARC_SAMPLES, p.r_outer)
-            lines.append(_polyline(frame.coords(arc), color, 1.5, False))
+            thetas.append(p.width * steps / ARC_SAMPLES)
+            radii.append(np.full(k, p.r_outer))
             continue
         side = np.linspace(p.r_inner, p.r_outer, 16)
         ends = [th % TWO_PI if th >= TWO_PI else th for th in (p.theta_start, p.theta_end)]
-        thetas = np.concatenate([p.theta_start + p.width * steps / ARC_SAMPLES, np.repeat(ends, 16)])
-        C = frame.coords(field.points(thetas, np.concatenate([np.full(k, p.r_outer), side, side])))
-        lines += [_polyline(C[:k], color, 1.5, False),
-                  _polyline(C[k:k + 16], color, 1.0, False),
-                  _polyline(C[k + 16:], color, 1.0, False)]
-    return _document(lines)
+        thetas.append(np.concatenate([p.theta_start + p.width * steps / ARC_SAMPLES,
+                                      np.repeat(ends, 16)]))
+        radii.append(np.concatenate([np.full(k, p.r_outer), side, side]))
+    C = frame.coords(field.points(np.concatenate(thetas), np.concatenate(radii)))
+    lines, at = [], 0
+    for p in pieces:
+        # pieces are colored by level parity so neighbours contrast
+        color = PALETTE[p.level % 2]
+        lines.append(_polyline(C[at:at + k], color, 1.5, False))
+        at += k
+        if p.level != 0:
+            lines += [_polyline(C[at:at + 16], color, 1.0, False),
+                      _polyline(C[at + 16:at + 32], color, 1.0, False)]
+            at += 32
+    return lines
 
 
 def render_packing(body: ConvexBody, points: np.ndarray, center) -> str:

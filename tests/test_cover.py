@@ -319,6 +319,9 @@ def test_multiplicity_probe_matches_unpruned_loop(any_body):
     pieces = build_cover(any_body, any_body.interior_seed(), R, 3)
     rep = multiplicity_probe(pieces, 0.2, 600, seed=5)
     assert rep.histogram == _reference_probe(pieces, 0.2, 600, seed=5)
+    # the band grouping does not depend on the order of the pieces
+    shuffled = [pieces[i] for i in np.random.default_rng(3).permutation(len(pieces))]
+    assert multiplicity_probe(shuffled, 0.2, 600, seed=5).to_dict() == rep.to_dict()
 
 
 def test_distance_exceeds_the_pruning_bound(any_body):
@@ -334,6 +337,70 @@ def test_distance_exceeds_the_pruning_bound(any_body):
     d = distance_pairs(any_body, centers, ys)
     bound = 2.0 * np.log1p(np.linalg.norm(centers - ys, axis=1) / any_body.euclidean_diameter())
     assert np.all(d >= bound)
+
+
+def _linspace_sample_rays(piece, n):
+    """``CoverPiece.sample_rays`` as it was built piece by piece, with the
+    side radii from ``np.linspace``; the reference for the test below."""
+    n_arc = max(4, n * 3 // 8)
+    n_side = max(2, (n - 2 * n_arc) // 2)
+    if piece.level == 0:
+        total = 2 * (n_arc + 1) + 2 * n_side
+        return (piece.theta_start + piece.width * np.arange(total) / total,
+                np.full(total, piece.r_outer))
+    thetas = piece.theta_start + piece.width * np.arange(n_arc + 1) / n_arc
+    ts = np.linspace(piece.r_inner, piece.r_outer, n_side + 2)[1:-1]
+    angles = np.concatenate([thetas, thetas, np.full(n_side, piece.theta_start),
+                             np.full(n_side, piece.theta_end)])
+    radii = np.concatenate([np.full(n_arc + 1, piece.r_inner),
+                            np.full(n_arc + 1, piece.r_outer), ts, ts])
+    return angles, radii
+
+
+@pytest.mark.parametrize("name", ["unit_disk", "square"])
+def test_sample_rays_match_the_linspace_construction(request, name):
+    body = request.getfixturevalue(name)
+    pieces = build_cover(body, body.interior_seed(), R, 8)
+    for n in (cover.PROBE_SAMPLES, 64):
+        angles, radii = cover._sample_rays(*cover._piece_table(pieces), n)
+        for p, a, t in zip(pieces, angles, radii):
+            a0, t0 = _linspace_sample_rays(p, n)
+            assert np.array_equal(a, a0) and np.array_equal(t, t0)
+
+
+def test_distance_exceeds_the_radial_gap(any_body):
+    # d(x, s) >= |d(o, x) - d(o, s)| = |t_x - t_s|, the bound the probe prunes samples with
+    o = any_body.interior_seed()
+    pieces = build_cover(any_body, o, R, 8)
+    field = SphereField(any_body, o)
+    angles, radii = cover._sample_rays(*cover._piece_table(pieces), cover.PROBE_SAMPLES)
+    rng = np.random.default_rng(9)
+    n = 20000
+    t_x = rng.uniform(0.0, 9.0 * R, n)
+    centers = field.points(rng.uniform(0.0, 2.0 * np.pi, n), t_x)
+    k = rng.integers(0, angles.size, n)
+    t_s = radii.ravel()[k]
+    d = distance_pairs(any_body, centers, field.points(angles.ravel()[k], t_s))
+    assert np.all(d >= np.abs(t_x - t_s) - 1e-9)
+
+
+def test_multiplicity_probe_is_independent_of_the_trial_block(monkeypatch, unit_disk, square):
+    for body in (unit_disk, square):
+        pieces = build_cover(body, body.interior_seed(), R, 4)
+        want = multiplicity_probe(pieces, 0.2, 500, seed=7).to_dict()
+        # one or three trials per block
+        for block in (1, 3 * len(pieces) + 1):
+            monkeypatch.setattr(cover, "SLACK_BLOCK", block)
+            assert multiplicity_probe(pieces, 0.2, 500, seed=7).to_dict() == want
+        monkeypatch.undo()
+
+
+def test_multiplicity_probe_needs_the_central_ball(unit_disk):
+    pieces = build_cover(unit_disk, np.zeros(2), R, 2)
+    with pytest.raises(ValueError, match="cover has no central ball"):
+        multiplicity_probe(pieces[1:], 0.2, 100, seed=0)
+    with pytest.raises(ValueError, match="empty cover"):
+        multiplicity_probe([], 0.2, 100, seed=0)
 
 
 def test_multiplicity_requires_small_balls(unit_disk):
