@@ -680,21 +680,40 @@ def line_intersection(
     return a1 + t * u1
 
 
+def _field(spec: dict, name: str, scalar: bool = False):
+    """Field ``name`` of a body description: a number, or unless ``scalar`` a
+    nested list of numbers.  ValueError names a missing or ill-typed field."""
+    def numeric(v) -> bool:
+        if isinstance(v, list):
+            return not scalar and all(numeric(x) for x in v)
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if name not in spec:
+        raise ValueError(f"body description lacks the field {name!r}")
+    if not numeric(spec[name]):
+        want = "a number" if scalar else "a number or a list of numbers"
+        raise ValueError(f"body field {name!r} must be {want}, got {spec[name]!r}")
+    return spec[name]
+
+
 def validate_body(spec: dict) -> ConvexBody:
     """Build a validated body from its JSON-style description."""
     if not isinstance(spec, dict) or "type" not in spec:
         raise ValueError("body description must be an object with a 'type' field")
     kind = spec["type"]
     if kind == "polygon":
-        return Polygon(spec["vertices"])
+        return Polygon(_field(spec, "vertices"))
     if kind == "disk":
-        return Disk(spec["center"], spec["radius"])
+        return Disk(_field(spec, "center"), _field(spec, "radius", scalar=True))
     if kind == "ellipse":
-        return Ellipsoid(spec["center"], spec["semi_axes"], spec.get("rotation_rad"))
+        rotation = _field(spec, "rotation_rad") if spec.get("rotation_rad") is not None else None
+        return Ellipsoid(_field(spec, "center"), _field(spec, "semi_axes"), rotation)
     if kind == "polytope":
-        halves = spec["halfspaces"]
-        normals = [h["normal"] for h in halves]
-        offsets = [h["offset"] for h in halves]
+        halves = spec.get("halfspaces")
+        if not isinstance(halves, list) or not all(isinstance(h, dict) for h in halves):
+            raise ValueError(f"body field 'halfspaces' must be a list of objects, got {halves!r}")
+        normals = [_field(h, "normal") for h in halves]
+        offsets = [_field(h, "offset", scalar=True) for h in halves]
         return HalfspacePolytope(normals, offsets)
     raise ValueError(f"unknown body type {kind!r}")
 

@@ -358,9 +358,10 @@ def coray_projection_defect(body: ConvexBody, rng: np.random.Generator, n: int) 
     return distance_pairs(body, LX, LY) - 2.0 * dxy
 
 
-def footprint_defect(body: ConvexBody, o, rng: np.random.Generator,
-                     R: float = 1.0, r: float = 0.2) -> float:
-    """Radial footprint diameter minus 4r for one ball centered on a sphere."""
+def footprint_defect(body: ConvexBody, o, rng: np.random.Generator) -> float:
+    """Radial footprint diameter minus 4r for one ball centered on a sphere,
+    at the asdim suite's sphere step R = 1 and probe radius r = 0.2."""
+    R, r = 1.0, 0.2
     i = int(rng.integers(1, 4))
     center = sphere_point(body, o, float(rng.uniform(0.0, TWO_PI)), i * R)
     diam = footprint_diameter(body, o, center, r, i * R, samples=48,

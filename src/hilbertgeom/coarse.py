@@ -39,13 +39,6 @@ def contraction_constant(r: float, R: float) -> float:
     return math.expm1(r) / math.expm1(2.0 * R)
 
 
-def contract(x, D: float, y) -> np.ndarray:
-    """Affine pull of y toward x with ratio D."""
-    px = as_point(x)
-    py = as_point(y)
-    return px + D * (py - px)
-
-
 @dataclass(frozen=True)
 class ContractionReport:
     R: float

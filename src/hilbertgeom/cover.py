@@ -33,12 +33,11 @@ from .errors import (
     ArcMarchExhausted,
     ArcReachViolation,
     BadRadii,
-    DegenerateRay,
     DimensionUnsupported,
     ExteriorPoint,
     NegativeParameter,
 )
-from .metric import _ray_param, distance_pairs, pairwise_distances, ray_point, ray_spec
+from .metric import _ray_param, distance_pairs, pairwise_distances
 
 TWO_PI = 2.0 * math.pi
 # angular bisection tolerance for marker placement
@@ -84,16 +83,16 @@ class SphereField:
         if classify(body, self.o) is not Region.INTERIOR:
             raise ExteriorPoint("decomposition base point must be interior")
 
-    def exits(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backward and forward exit lengths (a, b) of the rays at angles thetas."""
+    def exits(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Backward and forward exit lengths (a, b) of the rays at angles
+        thetas, and the unit rows U of those rays."""
         thetas = np.asarray(thetas, dtype=float)
         U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-        return self.body.ray_exit(np.broadcast_to(self.o, U.shape), U)
+        a, b = self.body.ray_exit(np.broadcast_to(self.o, U.shape), U)
+        return a, b, U
 
     def points(self, thetas: np.ndarray, ts) -> np.ndarray:
-        thetas = np.asarray(thetas, dtype=float)
-        a, b = self.exits(thetas)
-        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        a, b, U = self.exits(thetas)
         return self.o + _ray_param(a, b, ts)[:, None] * U
 
     def dist_from(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -158,21 +157,6 @@ class ArcDecomposition:
                 hi += TWO_PI
             out.append((lo, hi))
         return out
-
-
-def project_between_levels(body: ConvexBody, o, x, t_target: float) -> np.ndarray:
-    """Slide x along its ray from o to the point at distance t_target from o.
-
-    Angle-preserving by construction; this is the radial projection that
-    matches markers of consecutive sphere levels.
-    """
-    po = as_point(o, 2)
-    px = as_point(x, 2)
-    if t_target <= 0.0:
-        raise NegativeParameter("target radius must be positive")
-    if float(np.linalg.norm(px - po)) <= 1e-12:
-        raise DegenerateRay("cannot project the base point itself")
-    return ray_point(ray_spec(body, po, px - po), float(t_target))
 
 
 def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:

@@ -52,10 +52,6 @@ class NegativeParameter(GeometryError):
     """Ray or sphere parameter must be positive."""
 
 
-class CollinearInput(GeometryError):
-    """Three points that must span the plane are collinear."""
-
-
 class DistanceMismatch(GeometryError):
     """Two points that must be equidistant from the base are not."""
 

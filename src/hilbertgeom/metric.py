@@ -39,7 +39,6 @@ from .bodies import (
 from .errors import (
     BadOrder,
     CoincidentPoints,
-    CollinearInput,
     DimensionUnsupported,
     DistanceMismatch,
     ExteriorPoint,
@@ -47,9 +46,6 @@ from .errors import (
     OffChord,
     SamplingExhausted,
 )
-
-MODE_CONCURRENT = "concurrent"
-MODE_PARALLEL = "parallel"
 
 
 def cross_ratio(x, y, chord: Chord) -> float:
@@ -207,34 +203,15 @@ def ball_boundary(body: ConvexBody, center, t: float, n: int) -> BallBoundary:
     return BallBoundary(_read_only(c), float(t), _read_only(pts))
 
 
-def geodesic_defect(body: ConvexBody, x, y, lam: float) -> float:
-    """|d(x,z) + d(z,y) - d(x,y)| for z on the segment; zero when segments are geodesic."""
-    if not 0.0 < lam < 1.0:
-        raise ValueError("interpolation parameter must be in (0, 1)")
-    px = as_point(x, body.dimension)
-    py = as_point(y, body.dimension)
-    z = px + lam * (py - px)
-    return abs(distance(body, px, z) + distance(body, z, py) - distance(body, px, py))
-
-
-@dataclass(frozen=True)
-class ConcurrencyReport:
-    mode: str
-    defect: float
-    meeting_point: np.ndarray | None
-    # smallest pairwise direction cross product; near-parallel concurrent
-    # configurations (tiny but nonzero) are ill-conditioned for the scatter
-    min_cross: float
-
-
 @dataclass(frozen=True)
 class ConcurrencyRows:
-    """Row-wise ``ConcurrencyReport`` fields of ``concurrency_defects``.
+    """Row-wise results of ``concurrency_defects``.
 
-    ``rejected`` marks rows that the one-row form refuses with
-    CollinearInput (o, a2, b2 collinear, or two paired chord endpoints
-    coincide); every other field is NaN there.  ``meeting`` is NaN on
-    parallel rows.
+    ``rejected`` marks rows where o, a2, b2 are collinear or two paired
+    chord endpoints coincide; every other field is NaN there.
+    ``min_cross`` is the smallest pairwise direction cross product: nearly
+    but not exactly parallel lines meet far away, which makes the scatter
+    ill-conditioned.  ``meeting`` is NaN on parallel rows.
     """
 
     rejected: np.ndarray
@@ -248,9 +225,17 @@ _LINE_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def concurrency_defects(body: ConvexBody, O, A2, B2) -> ConcurrencyRows:
-    """Equidistance-line check of ``concurrency_defect`` on rows of (m, 2) arrays.
+    """Check that three equidistance lines meet at one point or are parallel.
 
-    The checks run in the one-row order: collinear rows are flagged, then
+    Given interior o and two points a2, b2 at the same distance from o, the
+    chords through (o, a2) and (o, b2) give boundary triples a1, a2-line,
+    a3 and b1, b3.  The lines a1 b1, a2 b2, a3 b3 either meet at a single
+    point outside the closed body or form a parallel family.  The defect is
+    the scatter of the pairwise intersections (concurrent rows) or the
+    largest direction mismatch (parallel rows).  O, A2 and B2 hold one
+    configuration per row of (m, 2) arrays.
+
+    The checks run in this order: collinear rows are flagged, then
     every other row must be interior (ExteriorPoint) with |d(o,a2) - d(o,b2)|
     <= 1e-9 (DistanceMismatch) and a2, b2 apart from o (CoincidentPoints);
     rows whose paired chord endpoints coincide are flagged, and the rest are
@@ -308,27 +293,6 @@ def concurrency_defects(body: ConvexBody, O, A2, B2) -> ConcurrencyRows:
     rows.min_cross[live] = min_cross
     rows.meeting[live[c]] = (hits[0] + hits[1] + hits[2]) / 3.0
     return rows
-
-
-def concurrency_defect(body: ConvexBody, o, a2, b2) -> ConcurrencyReport:
-    """Check that the three equidistance lines meet at one point or are parallel.
-
-    Given interior o and two points a2, b2 at the same distance from o, the
-    chords through (o, a2) and (o, b2) give boundary triples a1, a2-line,
-    a3 and b1, b3.  The lines a1 b1, a2 b2, a3 b3 either meet at a single
-    point outside the closed body or form a parallel family.  The defect is
-    the scatter of the pairwise intersections (concurrent mode) or the
-    largest direction mismatch (parallel mode).  One row of
-    ``concurrency_defects``.
-    """
-    rows = concurrency_defects(body, *(as_point(p, 2)[None, :] for p in (o, a2, b2)))
-    if rows.rejected[0]:
-        raise CollinearInput("o, a2, b2 are collinear or pair coincident chord endpoints")
-    if rows.parallel[0]:
-        return ConcurrencyReport(MODE_PARALLEL, float(rows.defect[0]), None,
-                                 float(rows.min_cross[0]))
-    return ConcurrencyReport(MODE_CONCURRENT, float(rows.defect[0]),
-                             _read_only(rows.meeting[0]), float(rows.min_cross[0]))
 
 
 def projective_transfer_defect(rng: np.random.Generator, rejected: list[int] | None = None) -> float:

@@ -72,11 +72,6 @@ def _frame_for(body: ConvexBody) -> tuple[Frame, np.ndarray]:
     return Frame(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)), outline
 
 
-def render_body(body: ConvexBody) -> str:
-    frame, outline = _frame_for(body)
-    return _document([_polyline(frame.coords(outline), "#000000", 2.0, True)])
-
-
 def fmt6(v: float) -> str:
     # round first so negative dust prints as 0.000000, not -0.000000
     return "%.6f" % (round(float(v), 6) + 0.0)

@@ -20,10 +20,9 @@ from hilbertgeom.cli import (
     ray_monotonicity_defect,
 )
 from hilbertgeom.cover import SphereField
-from hilbertgeom.errors import CollinearInput, DimensionUnsupported, SamplingExhausted
+from hilbertgeom.errors import DimensionUnsupported, SamplingExhausted
 from hilbertgeom.metric import (
-    MODE_CONCURRENT,
-    concurrency_defect,
+    concurrency_defects,
     distance,
     distance_pairs,
     projective_transfer_defect,
@@ -62,13 +61,12 @@ def scalar_concurrency(body, rng):
         t = rng.uniform(0.2, 4.0)
         a2 = sphere_point(body, o, th[0], t)
         b2 = sphere_point(body, o, th[1], t)
-        try:
-            rep = concurrency_defect(body, o, a2, b2)
-        except CollinearInput:
+        rep = concurrency_defects(body, o[None, :], a2[None, :], b2[None, :])
+        if rep.rejected[0]:
             continue
-        if rep.mode == MODE_CONCURRENT and rep.min_cross < 1e-3:
+        if not rep.parallel[0] and rep.min_cross[0] < 1e-3:
             continue
-        return float(rep.defect)
+        return float(rep.defect[0])
 
 
 def scalar_coray(body, rng):

@@ -8,7 +8,7 @@ import pytest
 
 from hilbertgeom import cli, metric
 from hilbertgeom.cli import _build_parser, main
-from hilbertgeom.svgout import fmt6, render_ball, render_body, render_cover
+from hilbertgeom.svgout import fmt6, render_ball, render_cover
 
 
 @pytest.fixture
@@ -177,6 +177,19 @@ def test_missing_or_broken_body_exits_1(tmp_path, capsys):
     unk.write_text('{"type": "torus"}')
     assert main(["dist", "--body", str(unk), "--x", "0,0", "--y", "0.5,0"]) == 1
     capsys.readouterr()
+    # a missing or ill-typed field is named in one error line, not a traceback
+    for text, field in [
+        ('{"type": "disk", "center": [0, 0]}', "radius"),
+        ('{"type": "disk", "center": [0, 0], "radius": null}', "radius"),
+        ('{"type": "polytope", "halfspaces": [{"normal": [1, 0]}]}', "offset"),
+        ('{"type": "polytope", "halfspaces": 5}', "halfspaces"),
+    ]:
+        broken = tmp_path / "broken.json"
+        broken.write_text(text)
+        assert main(["dist", "--body", str(broken), "--x", "0,0", "--y", "0.5,0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(field) in err, err
+        assert "Traceback" not in err
 
 
 def test_precondition_violations_exit_2(disk_json, capsys):
@@ -447,8 +460,11 @@ def test_render_ball_is_valid_xml(unit_disk):
 
     pts = np.array([[0.5, 0.0], [0.0, 0.5], [-0.5, 0.0], [0.0, -0.5]])
     svg = render_ball(unit_disk, pts, np.zeros(2))
-    ET.fromstring(svg)
+    root = ET.fromstring(svg)
     assert 'width="1000"' in svg and 'height="1000"' in svg
+    # the body outline is drawn in black as a closed polygon
+    outline = [el for el in root if el.get("stroke") == "#000000"]
+    assert len(outline) == 1 and outline[0].tag.endswith("polygon")
 
 
 def test_render_cover_colors_by_level_parity(unit_disk):
@@ -501,8 +517,3 @@ def test_render_cover_matches_per_polyline_reference(any_body):
 
     pieces = build_cover(any_body, any_body.interior_seed(), 1.0, 4)
     assert render_cover(any_body, pieces) == _render_cover_per_polyline(any_body, pieces)
-
-
-def test_render_body_outline_closed(unit_disk):
-    svg = render_body(unit_disk)
-    assert "<polygon" in svg or "<polyline" in svg

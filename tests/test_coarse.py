@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from hilbertgeom import (
-    contract,
     contraction_constant,
     corona_probe,
     distance,
@@ -41,11 +40,6 @@ def test_radii_past_float64_raise_bad_radii(unit_disk):
     # finite D, but 1/D^2 past the largest float
     with pytest.raises(BadRadii, match="float64"):
         greedy_packing(unit_disk, (0.0, 0.0), 200.0, 0.25, 10, 0)
-
-
-def test_contract_is_affine_pull():
-    got = contract((1.0, 1.0), 0.25, (5.0, -3.0))
-    assert got == pytest.approx([2.0, 0.0])
 
 
 def test_verify_contraction_all_bodies(any_body):

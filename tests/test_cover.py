@@ -28,7 +28,7 @@ from hilbertgeom import (
     is_admissible_over,
     multiplicity_probe,
     piece_diameter,
-    project_between_levels,
+    ray_points,
     refine_to_depth,
     sphere_point,
 )
@@ -222,9 +222,11 @@ def test_admissibility_detects_a_moved_marker(unit_disk):
 
 
 def test_projection_between_levels_lands_on_target_sphere(any_body):
+    # radial projection slides x along its ray from o to the target sphere
     o = any_body.interior_seed()
     x = sphere_point(any_body, o, 1.1, 2.0)
-    p = project_between_levels(any_body, o, x, 1.0)
+    u = (x - o) / np.linalg.norm(x - o)
+    p = ray_points(any_body, o[None, :], u[None, :], 1.0)[0]
     assert distance(any_body, o, p) == pytest.approx(1.0, abs=1e-9)
     # radial: same direction from o
     vx, vp = x - o, p - o

@@ -20,12 +20,10 @@ from hilbertgeom import (
     boundary_hit,
     boundary_hit_bisect,
     chord_through,
-    concurrency_defect,
     concurrency_defects,
     cross_ratio,
     distance,
     distance_pairs,
-    geodesic_defect,
     pairwise_distances,
     ray_point,
     ray_spec,
@@ -33,12 +31,10 @@ from hilbertgeom import (
 )
 from hilbertgeom.errors import (
     BadOrder,
-    CollinearInput,
     DistanceMismatch,
     ExteriorPoint,
     OffChord,
 )
-from hilbertgeom.metric import MODE_CONCURRENT, MODE_PARALLEL
 
 
 def klein_radial(tau: float) -> float:
@@ -143,7 +139,10 @@ def test_segments_are_geodesics_in_disk(a, b, lam):
     y = (-0.7 * b, 0.7 * a)
     if np.hypot(x[0] - y[0], x[1] - y[1]) < 1e-3:
         return
-    assert geodesic_defect(body, x, y, lam) <= 1e-10
+    X, Y = np.array([x]), np.array([y])
+    Z = X + lam * (Y - X)
+    defect = distance_pairs(body, X, Z) + distance_pairs(body, Z, Y) - distance_pairs(body, X, Y)
+    assert abs(defect[0]) <= 1e-10
 
 
 @pytest.fixture
@@ -246,15 +245,19 @@ def test_ball_boundary_is_euclidean_convex(unit_disk, square):
         assert np.all(cr > -1e-9)
 
 
+def _one_row(body, o, a2, b2):
+    return concurrency_defects(body, *(np.array([p], dtype=float) for p in (o, a2, b2)))
+
+
 def test_concurrency_generic_config_meets_outside(unit_disk):
     o = np.array([0.1, -0.05])
     a2 = sphere_point(unit_disk, o, 0.3, 1.2)
     b2 = sphere_point(unit_disk, o, 1.9, 1.2)
-    rep = concurrency_defect(unit_disk, o, a2, b2)
-    assert rep.mode == MODE_CONCURRENT
-    assert rep.defect <= 1e-7
+    rep = _one_row(unit_disk, o, a2, b2)
+    assert not rep.rejected[0] and not rep.parallel[0]
+    assert rep.defect[0] <= 1e-7
     # the meeting point of the three lines lies outside the closed disk
-    assert np.linalg.norm(rep.meeting_point) > 1.0
+    assert np.linalg.norm(rep.meeting[0]) > 1.0
 
 
 def test_concurrency_mirror_config_is_parallel(unit_disk):
@@ -262,16 +265,17 @@ def test_concurrency_mirror_config_is_parallel(unit_disk):
     o = np.zeros(2)
     a2 = sphere_point(unit_disk, o, 0.7, 1.0)
     b2 = np.array([a2[0], -a2[1]])
-    rep = concurrency_defect(unit_disk, o, a2, b2)
-    assert rep.mode == MODE_PARALLEL
-    assert rep.defect <= 1e-9
+    rep = _one_row(unit_disk, o, a2, b2)
+    assert not rep.rejected[0] and rep.parallel[0]
+    assert rep.defect[0] <= 1e-9
+    assert np.isnan(rep.meeting[0]).all()
 
 
 def test_concurrency_rejects_collinear_and_mismatched(unit_disk):
-    with pytest.raises(CollinearInput):
-        concurrency_defect(unit_disk, (0, 0), (0.4, 0), (-0.4, 0))
+    rep = _one_row(unit_disk, (0, 0), (0.4, 0), (-0.4, 0))
+    assert rep.rejected[0] and np.isnan(rep.defect[0])
     with pytest.raises(DistanceMismatch):
-        concurrency_defect(unit_disk, (0, 0), (0.4, 0), (0.0, 0.5))
+        _one_row(unit_disk, (0, 0), (0.4, 0), (0.0, 0.5))
 
 
 def test_concurrency_rows_match_one_row_calls(any_body):
@@ -283,11 +287,11 @@ def test_concurrency_rows_match_one_row_calls(any_body):
             (o, a2, o + 0.5 * (o - a2))]
     got = concurrency_defects(any_body, *(np.array(col) for col in zip(*rows)))
     assert got.rejected.tolist() == [False, False, True]
-    with pytest.raises(CollinearInput):
-        concurrency_defect(any_body, *rows[2])
+    assert _one_row(any_body, *rows[2]).rejected[0]
     for k, row in enumerate(rows[:2]):
-        rep = concurrency_defect(any_body, *row)
-        assert got.parallel[k] == (rep.mode == MODE_PARALLEL)
-        assert got.defect[k] == pytest.approx(rep.defect, abs=1e-12)
-        assert got.min_cross[k] == pytest.approx(rep.min_cross, abs=1e-12)
+        rep = _one_row(any_body, *row)
+        assert not rep.rejected[0]
+        assert got.parallel[k] == rep.parallel[0]
+        assert got.defect[k] == pytest.approx(rep.defect[0], abs=1e-12)
+        assert got.min_cross[k] == pytest.approx(rep.min_cross[0], abs=1e-12)
     assert np.isnan(got.defect[2]) and np.isnan(got.meeting[2]).all()

@@ -1,0 +1,43 @@
+"""The package surface: its exports and the README's library sketch."""
+
+import importlib
+import math
+import re
+from pathlib import Path
+
+import pytest
+
+import hilbertgeom
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# one-row wrappers that the batched primitives replaced
+RETIRED = {
+    "metric": ("geodesic_defect", "concurrency_defect", "ConcurrencyReport",
+               "MODE_CONCURRENT", "MODE_PARALLEL"),
+    "errors": ("CollinearInput",),
+    "cover": ("project_between_levels",),
+    "coarse": ("contract",),
+    "svgout": ("render_body",),
+}
+
+
+def test_exports_resolve_sorted_and_without_retired_names():
+    names = hilbertgeom.__all__
+    assert [n for n in names if not hasattr(hilbertgeom, n)] == []
+    assert names == sorted(set(names))
+    for module, retired in RETIRED.items():
+        mod = importlib.import_module(f"hilbertgeom.{module}")
+        for name in retired:
+            assert name not in names and not hasattr(hilbertgeom, name), name
+            assert not hasattr(mod, name), f"{module}.{name}"
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text(encoding="utf-8")
+    sketch = re.search(r"## Library sketch\s+```python\n(.*?)```", text, re.S).group(1)
+    ns: dict = {}
+    exec(sketch, ns)
+    assert ns["distance"](ns["disk"], (0, 0), (0.5, 0)) == pytest.approx(math.log(3.0), abs=1e-15)
+    probe = ns["multiplicity_probe"](ns["pieces"], r=0.2, trials=5000, seed=0)
+    assert probe.max_count <= 3
