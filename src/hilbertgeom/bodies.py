@@ -32,6 +32,12 @@ Cayley-Klein form ``sinh^2(d/2) = (|delta|^2 (1 - |y|^2) + (delta . y)^2)
 / ((1 - |x|^2)(1 - |y|^2))``, which forms no exit length either.  A
 generic bisection oracle on ``signed_gap`` is exposed as
 ``boundary_hit_bisect`` to cross-check the closed forms.
+
+A halfspace intersection's interior seed and covering box come from 2n + 1
+small LPs that ``_lp_max`` solves in numpy, an active-set simplex under
+Bland's rule from a known feasible point: the seed maximizes the inscribed
+radius r over ``n_i . x + r <= b_i``, and each box side maximizes -x_j or
+x_j from the seed.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ from .errors import (
     ExteriorBase,
     ExteriorPoint,
     NonConvex,
+    SimplexExhausted,
     Unbounded,
 )
 
@@ -65,6 +72,13 @@ REL_BOUNDARY_TOL = 1e-10
 # Cap on the inscribed radius in the interior-seed LP, so an unbounded
 # halfspace set still yields a seed and is rejected by the support-box LPs.
 SEED_RADIUS_CAP = 1e7
+# Pivot cap of one ``_lp_max`` call; past it the LP raises SimplexExhausted.
+LP_PIVOT_CAP = 1000
+# Relative zero of ``_lp_max``: for a projected objective (against |c|), a
+# multiplier (against |c|) and a row's rate along the step (against |d|).
+LP_TOL = 1e-12
+# (sqrt(5) - 1) / 2: multiples of it modulo 1 spread any run of rows apart.
+GOLDEN_FRACTION = 0.6180339887498949
 
 
 class Region(Enum):
@@ -287,6 +301,54 @@ def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     return 2.0 * np.arcsinh(np.sqrt(num / (2.0 * (ax * ay))))
 
 
+def _lp_max(A: np.ndarray, h: np.ndarray, c: np.ndarray, z0: np.ndarray) -> np.ndarray | None:
+    """A maximizer of ``c . z`` over ``A z <= h`` from the feasible point z0,
+    or None when ``c . z`` is unbounded above on that set.
+
+    An active-set simplex on the free variables z.  With W the active rows,
+    d is the projection of c onto the null space of ``A_W``.  If d is not
+    zero, z steps along it to the first row it meets (the ratio test), which
+    joins W.  If d is zero, ``c = A_W^T lam``: z is optimal when every
+    multiplier is >= 0, and otherwise a row with a negative one leaves W.
+    Both choices follow Bland's rule, the smallest index among the eligible
+    rows (Bland 1977), so in exact arithmetic the pivots cannot cycle.  The
+    indices scatter the rows in golden-ratio (Weyl) order: in the given
+    order a start on many tight rows, such as the center of a regular m-gon,
+    takes about 0.8 m pivots, and scattered it takes a few.  Memory is
+    O(m n): A, its reordered copy and a few m-vectors; W holds at most n
+    rows.  Past LP_PIVOT_CAP pivots it raises SimplexExhausted.
+    """
+    order = np.argsort(np.arange(A.shape[0]) * GOLDEN_FRACTION % 1.0, kind="stable")
+    A, h = A[order], h[order]
+    z = np.array(z0, dtype=float)
+    c_norm = float(np.linalg.norm(c))
+    active: list[int] = []
+    for _ in range(LP_PIVOT_CAP):
+        d = c
+        if active:
+            Q, R = np.linalg.qr(A[active].T)
+            qc = Q.T @ c
+            d = c - Q @ qc
+            d = d - Q @ (Q.T @ d)  # projected twice, W's rows see rates ~ eps |d|
+        d_norm = float(np.linalg.norm(d))
+        if d_norm <= LP_TOL * c_norm:
+            lam = np.linalg.solve(R, qc)
+            leaving = [j for j, v in zip(active, lam) if v < -LP_TOL * c_norm]
+            if not leaving:
+                return z
+            active.remove(min(leaving))
+            continue
+        rate = A @ d
+        rows = np.flatnonzero(rate > LP_TOL * d_norm)
+        if rows.size == 0:
+            return None
+        ratio = np.maximum(h[rows] - A[rows] @ z, 0.0) / rate[rows]
+        k = int(np.argmin(ratio))
+        z = z + ratio[k] * d
+        active.append(int(rows[k]))
+    raise SimplexExhausted(f"linear program took more than {LP_PIVOT_CAP} pivots")
+
+
 class Polygon(ConvexBody):
     """Strictly convex polygon from counterclockwise vertices.
 
@@ -492,10 +554,14 @@ class Ellipsoid(ConvexBody):
 class HalfspacePolytope(ConvexBody):
     """Intersection of halfspaces ``normal . x <= offset``.
 
-    Validation finds a Chebyshev-style interior seed by linear programming,
-    then the covering box by one LP per axis direction; an unbounded support
-    raises Unbounded.  The boundary oracle is the closed-form constraint-slack
-    exit shared with ``Polygon``.
+    Validation solves 2n + 1 small LPs with ``_lp_max``, in numpy.  The
+    interior seed is the center of a largest inscribed ball: it maximizes r
+    over ``n_i . x + r <= b_i`` from x = 0, r = min(min b, SEED_RADIUS_CAP),
+    and an optimal r at or below 1e-12 times the largest offset (at least
+    1e-12) raises EmptyInterior.  The covering box takes one LP per axis
+    direction, each from the seed; an unbounded support raises Unbounded.
+    The boundary oracle is the closed-form constraint-slack exit shared with
+    ``Polygon``.
     """
 
     kind = "polytope"
@@ -523,41 +589,32 @@ class HalfspacePolytope(ConvexBody):
         self._box = (_read_only(lo), _read_only(hi))
 
     def _chebyshev_seed(self) -> np.ndarray:
-        from scipy.optimize import linprog
-
         n = self.dimension
         m = self._normals.shape[0]
-        # maximize r subject to n_i . x + r <= b_i, 0 <= r <= cap
-        c = np.zeros(n + 1)
-        c[-1] = -1.0
-        A = np.hstack([self._normals, np.ones((m, 1))])
-        bounds = [(None, None)] * n + [(0.0, SEED_RADIUS_CAP)]
-        res = linprog(c, A_ub=A, b_ub=self._offsets, bounds=bounds, method="highs")
-        if res.status == 2 or not res.success:
-            raise EmptyInterior("halfspace intersection has no interior point")
-        r = float(res.x[-1])
-        if r <= 1e-12 * max(1.0, float(np.abs(self._offsets).max())):
-            raise EmptyInterior("halfspace intersection has empty interior (flat feasible set)")
-        return np.asarray(res.x[:-1], dtype=float)
+        b = self._offsets
+        # maximize r subject to n_i . x + r <= b_i and r <= cap, with r free
+        # below the cap, from the feasible x = 0, r = min(min b, cap)
+        A = np.zeros((m + 1, n + 1))
+        A[:m, :n] = self._normals
+        A[:, n] = 1.0
+        z0 = np.zeros(n + 1)
+        z0[n] = min(float(b.min()), SEED_RADIUS_CAP)
+        z = _lp_max(A, np.append(b, SEED_RADIUS_CAP), np.eye(n + 1)[n], z0)
+        if z[n] <= 1e-12 * max(1.0, float(np.abs(b).max())):
+            raise EmptyInterior("halfspace intersection has empty interior "
+                                f"(largest inscribed radius {z[n]:.3g})")
+        return z[:n]
 
     def _support_box(self) -> tuple[np.ndarray, np.ndarray]:
-        from scipy.optimize import linprog
-
         n = self.dimension
         lo = np.empty(n)
         hi = np.empty(n)
-        bounds = [(None, None)] * n
         for axis in range(n):
-            c = np.zeros(n)
-            c[axis] = 1.0
-            res = linprog(c, A_ub=self._normals, b_ub=self._offsets, bounds=bounds, method="highs")
-            if not res.success:
-                raise Unbounded(f"support in -e_{axis} direction is unbounded")
-            lo[axis] = res.x[axis]
-            res = linprog(-c, A_ub=self._normals, b_ub=self._offsets, bounds=bounds, method="highs")
-            if not res.success:
-                raise Unbounded(f"support in +e_{axis} direction is unbounded")
-            hi[axis] = res.x[axis]
+            for sign, side, out in ((-1.0, "-", lo), (1.0, "+", hi)):
+                z = _lp_max(self._normals, self._offsets, sign * np.eye(n)[axis], self._seed)
+                if z is None:
+                    raise Unbounded(f"support in {side}e_{axis} direction is unbounded")
+                out[axis] = z[axis]
         return lo, hi
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:

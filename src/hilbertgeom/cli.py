@@ -68,6 +68,10 @@ from .svgout import render_ball, render_cover, render_packing
 log = logging.getLogger("hilbertgeom")
 
 TWO_PI = 2.0 * math.pi
+# The asdim suite's sphere step R, probe-ball radius r and sphere levels.
+ASDIM_STEP = 1.0
+ASDIM_PROBE_RADIUS = 0.2
+ASDIM_LEVELS = 3
 
 
 # -- argument plumbing -------------------------------------------------------
@@ -359,10 +363,10 @@ def coray_projection_defect(body: ConvexBody, rng: np.random.Generator, n: int) 
 
 
 def footprint_defect(body: ConvexBody, o, rng: np.random.Generator) -> float:
-    """Radial footprint diameter minus 4r for one ball centered on a sphere,
-    at the asdim suite's sphere step R = 1 and probe radius r = 0.2."""
-    R, r = 1.0, 0.2
-    i = int(rng.integers(1, 4))
+    """Radial footprint diameter minus 4r for one ball centered on one of the
+    asdim suite's spheres, at its sphere step R and probe radius r."""
+    R, r = ASDIM_STEP, ASDIM_PROBE_RADIUS
+    i = int(rng.integers(1, ASDIM_LEVELS + 1))
     center = sphere_point(body, o, float(rng.uniform(0.0, TWO_PI)), i * R)
     diam = footprint_diameter(body, o, center, r, i * R, samples=48,
                               seed=int(rng.integers(2**31)))
@@ -524,9 +528,9 @@ def _suite_asdim(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
     nf = max(10, n // 10)
     rows.append(_row("projection_footprint_4r",
                      max(footprint_defect(body, o, rng) for _ in range(nf)),
-                     arc_tolerance(1.0), nf))
+                     arc_tolerance(ASDIM_STEP), nf))
 
-    R, r, levels = 1.0, 0.2, 3
+    R, r, levels = ASDIM_STEP, ASDIM_PROBE_RADIUS, ASDIM_LEVELS
     decs = refine_to_depth(body, o, R, levels)
 
     c1, c2 = initial_half_counts(decs[0])

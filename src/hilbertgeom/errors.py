@@ -76,6 +76,10 @@ class ArcMarchExhausted(GeometryError):
     """Arc marching took more steps than its cap without reaching the arc end."""
 
 
+class SimplexExhausted(GeometryError):
+    """Linear program took more pivots than its cap without reaching an optimum."""
+
+
 class DegenerateRay(GeometryError):
     """Ray direction cannot be derived because the two points coincide."""
 

@@ -2,14 +2,18 @@
 
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import hilbertgeom
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 # one-row wrappers that the batched primitives replaced
 RETIRED = {
@@ -41,3 +45,26 @@ def test_readme_library_sketch_runs():
     assert ns["distance"](ns["disk"], (0, 0), (0.5, 0)) == pytest.approx(math.log(3.0), abs=1e-15)
     probe = ns["multiplicity_probe"](ns["pieces"], r=0.2, trials=5000, seed=0)
     assert probe.max_count <= 3
+
+
+def test_importing_and_loading_every_body_kind_leaves_scipy_out():
+    # scipy is the test extra's LP reference; the package must not import it
+    script = """
+import sys
+import hilbertgeom
+for spec in (
+    {"type": "polygon", "vertices": [[0, 0], [1, 0], [0, 1]]},
+    {"type": "disk", "center": [0, 0], "radius": 1.0},
+    {"type": "ellipse", "center": [0, 0], "semi_axes": [2.0, 1.0], "rotation_rad": 0.3},
+    {"type": "polytope", "halfspaces": [{"normal": [1, 0, 0], "offset": 1},
+                                        {"normal": [0, 1, 0], "offset": 1},
+                                        {"normal": [0, 0, 1], "offset": 1},
+                                        {"normal": [-1, -1, -1], "offset": 1}]},
+):
+    hilbertgeom.validate_body(spec)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=60, check=True)
+    assert res.stdout.strip() == "[]"
