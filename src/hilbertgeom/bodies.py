@@ -34,10 +34,11 @@ generic bisection oracle on ``signed_gap`` is exposed as
 ``boundary_hit_bisect`` to cross-check the closed forms.
 
 A halfspace intersection's interior seed and covering box come from 2n + 1
-small LPs that ``_lp_max`` solves in numpy, an active-set simplex under
-Bland's rule from a known feasible point: the seed maximizes the inscribed
-radius r over ``n_i . x + r <= b_i``, and each box side maximizes -x_j or
-x_j from the seed.
+small LPs that ``_lp_max`` solves in numpy from a known feasible point:
+active-set walks on a working set of rows that grows by the rows the last
+answer violates.  The seed maximizes the inscribed radius r over
+``n_i . x + r <= b_i``, and each box side maximizes -x_j or x_j from the
+seed.
 """
 
 from __future__ import annotations
@@ -72,13 +73,11 @@ REL_BOUNDARY_TOL = 1e-10
 # Cap on the inscribed radius in the interior-seed LP, so an unbounded
 # halfspace set still yields a seed and is rejected by the support-box LPs.
 SEED_RADIUS_CAP = 1e7
-# Pivot cap of one ``_lp_max`` call; past it the LP raises SimplexExhausted.
-LP_PIVOT_CAP = 1000
 # Relative zero of ``_lp_max``: for a projected objective (against |c|), a
 # multiplier (against |c|) and a row's rate along the step (against |d|).
 LP_TOL = 1e-12
-# (sqrt(5) - 1) / 2: multiples of it modulo 1 spread any run of rows apart.
-GOLDEN_FRACTION = 0.6180339887498949
+# Rows per unknown that one ``_lp_max`` round adds to its working set.
+LP_CUT_ROWS = 4
 
 
 class Region(Enum):
@@ -301,29 +300,41 @@ def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     return 2.0 * np.arcsinh(np.sqrt(num / (2.0 * (ax * ay))))
 
 
-def _lp_max(A: np.ndarray, h: np.ndarray, c: np.ndarray, z0: np.ndarray) -> np.ndarray | None:
-    """A maximizer of ``c . z`` over ``A z <= h`` from the feasible point z0,
-    or None when ``c . z`` is unbounded above on that set.
+def _pivot_cap(m: int, n: int) -> int:
+    """Pass cap of one active-set walk on m rows in n unknowns.
 
-    An active-set simplex on the free variables z.  With W the active rows,
-    d is the projection of c onto the null space of ``A_W``.  If d is not
-    zero, z steps along it to the first row it meets (the ratio test), which
-    joins W.  If d is zero, ``c = A_W^T lam``: z is optimal when every
-    multiplier is >= 0, and otherwise a row with a negative one leaves W.
-    Both choices follow Bland's rule, the smallest index among the eligible
-    rows (Bland 1977), so in exact arithmetic the pivots cannot cycle.  The
-    indices scatter the rows in golden-ratio (Weyl) order: in the given
-    order a start on many tight rows, such as the center of a regular m-gon,
-    takes about 0.8 m pivots, and scattered it takes a few.  Memory is
-    O(m n): A, its reordered copy and a few m-vectors; W holds at most n
-    rows.  Past LP_PIVOT_CAP pivots it raises SimplexExhausted.
+    Off degenerate vertices each vertex on the walk costs two passes (a row
+    leaves, a row joins), and a planar walk meets at most m vertices, so
+    2 (m + n) passes cover it.  The cap allows four times that, so a walk
+    costs at most O(m^2 n) arithmetic; past it the walk raises
+    SimplexExhausted.
     """
-    order = np.argsort(np.arange(A.shape[0]) * GOLDEN_FRACTION % 1.0, kind="stable")
-    A, h = A[order], h[order]
-    z = np.array(z0, dtype=float)
+    return 8 * (m + n)
+
+
+def _active_set_max(A: np.ndarray, h: np.ndarray, c: np.ndarray,
+                    z: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Walk from the feasible z to a maximizer of ``c . z`` over ``A z <= h``.
+
+    Returns ``(z, None)`` at a maximizer, or ``(z, d)`` when ``c . z`` grows
+    without bound along d from z.  With W the active rows, d is the
+    projection of c onto the null space of ``A_W``.  If d is not zero, z
+    steps along it to the first row it meets (the ratio test), which joins
+    W.  If d is zero, ``c = A_W^T lam``: z is optimal when every multiplier
+    is >= 0, and otherwise the first row with a negative one leaves W (the
+    smallest-index choice of Bland 1977; its finiteness proof covers the
+    basis-exchange simplex, not this walk, so only the pass cap bounds the
+    work).  A row joins only when its rate along d exceeds LP_TOL |d|, which
+    keeps W's rows independent and W at most n rows.  Should rounding or row
+    scaling still leave a diagonal of R at or below LP_TOL times its row's
+    length, the walk raises SimplexExhausted rather than solve for
+    meaningless multipliers.
+    """
+    z = np.array(z, dtype=float)
     c_norm = float(np.linalg.norm(c))
     active: list[int] = []
-    for _ in range(LP_PIVOT_CAP):
+    cap = _pivot_cap(*A.shape)
+    for _ in range(cap):
         d = c
         if active:
             Q, R = np.linalg.qr(A[active].T)
@@ -332,21 +343,61 @@ def _lp_max(A: np.ndarray, h: np.ndarray, c: np.ndarray, z0: np.ndarray) -> np.n
             d = d - Q @ (Q.T @ d)  # projected twice, W's rows see rates ~ eps |d|
         d_norm = float(np.linalg.norm(d))
         if d_norm <= LP_TOL * c_norm:
+            if np.any(np.abs(np.diag(R)) <= LP_TOL * np.linalg.norm(A[active], axis=1)):
+                raise SimplexExhausted("linear program's active rows are linearly dependent")
             lam = np.linalg.solve(R, qc)
             leaving = [j for j, v in zip(active, lam) if v < -LP_TOL * c_norm]
             if not leaving:
-                return z
+                return z, None
             active.remove(min(leaving))
             continue
         rate = A @ d
         rows = np.flatnonzero(rate > LP_TOL * d_norm)
         if rows.size == 0:
-            return None
+            return z, d
         ratio = np.maximum(h[rows] - A[rows] @ z, 0.0) / rate[rows]
         k = int(np.argmin(ratio))
         z = z + ratio[k] * d
         active.append(int(rows[k]))
-    raise SimplexExhausted(f"linear program took more than {LP_PIVOT_CAP} pivots")
+    raise SimplexExhausted(f"linear program did not finish in {cap} passes")
+
+
+def _lp_max(A: np.ndarray, h: np.ndarray, c: np.ndarray, z0: np.ndarray) -> np.ndarray | None:
+    """A maximizer of ``c . z`` over ``A z <= h`` from the feasible point z0,
+    or None when ``c . z`` is unbounded above on that set.
+
+    Constraint generation around ``_active_set_max``: each round solves the
+    LP on a working set of rows from the current point z, which stays
+    feasible for every row.  If the working-set maximizer (or ray) from z
+    crosses no other row, it solves the whole LP.  Otherwise z moves to the
+    first row crossed, and that row joins the working set with the
+    LP_CUT_ROWS n rows the maximizer violates most (along a ray, the rows
+    it meets fastest).  Rows far from the optimum never enter, so a walk
+    along a many-faced boundary becomes a few short walks.  The working set
+    grows every round, so there are at most m rounds, each O(m n) outside
+    the walk.  Memory is O(m n): no m x m array.
+    """
+    m, n = A.shape
+    z = np.array(z0, dtype=float)
+    work = np.zeros(m, dtype=bool)
+    while True:
+        rows = np.flatnonzero(work)
+        zw, ray = _active_set_max(A[rows], h[rows], c, z)
+        step = zw - z if ray is None else ray
+        rate = A @ step
+        slack = np.maximum(h - A @ z, 0.0)
+        cross = ~work & (rate > LP_TOL * float(np.linalg.norm(step)))
+        if ray is None:
+            cross &= rate > slack  # violated at zw
+        idx = np.flatnonzero(cross)
+        if idx.size == 0:
+            return zw if ray is None else None
+        ratio = slack[idx] / rate[idx]
+        j = int(np.argmin(ratio))
+        z = z + ratio[j] * step
+        score = rate[idx] - slack[idx] if ray is None else rate[idx]
+        work[idx[np.argsort(-score, kind="stable")[:LP_CUT_ROWS * n]]] = True
+        work[idx[j]] = True
 
 
 class Polygon(ConvexBody):
@@ -559,8 +610,8 @@ class HalfspacePolytope(ConvexBody):
     over ``n_i . x + r <= b_i`` from x = 0, r = min(min b, SEED_RADIUS_CAP),
     and an optimal r at or below 1e-12 times the largest offset (at least
     1e-12) raises EmptyInterior.  The covering box takes one LP per axis
-    direction, each from the seed; an unbounded support raises Unbounded.
-    The boundary oracle is the closed-form constraint-slack exit shared with
+    direction, each from the seed; an unbounded support raises Unbounded,
+    and an LP past its pass cap raises SimplexExhausted.  The boundary oracle is the closed-form constraint-slack exit shared with
     ``Polygon``.
     """
 

@@ -152,10 +152,57 @@ def test_many_halfspaces_build_fast_in_linear_memory(make, m, n):
     assert np.all(lo <= -1.0 + 1e-12) and np.all(lo > -1.01)
 
 
-def test_pivot_cap_is_a_typed_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(bodies, "LP_PIVOT_CAP", 1)
+def half_disk_halfspaces(m):
+    """m tangents of the unit circle at angles spread over [-pi/2, pi/2], and x >= 0."""
+    theta = np.linspace(-np.pi / 2, np.pi / 2, m)
+    return np.r_[np.c_[np.cos(theta), np.sin(theta)], [(-1.0, 0.0)]], np.r_[np.ones(m), 0.0]
+
+
+def cut_polygon_halfspaces(m):
+    """The regular m-gon of ``regular_polygon_halfspaces`` cut by x + y <= 0.3."""
+    N, b = regular_polygon_halfspaces(m)
+    return np.r_[N, [(1.0, 1.0)]], np.r_[b, 0.3]
+
+
+@pytest.mark.parametrize("m", [3_000, 20_000])
+def test_long_boundary_walks_match_closed_forms(m):
+    # from the seed (1/2, 0) the ray along +y meets the tangent at 60 degrees,
+    # m / 6 faces short of the top: a face-by-face walk would cross them all
+    N, b = half_disk_halfspaces(m)
+    t0 = time.perf_counter()
+    body = HalfspacePolytope(N, b)
+    assert time.perf_counter() - t0 < 1.0
+    half = np.pi / (2 * (m - 1))  # for even m, the tangents nearest 0 are at +-half
+    r = 1.0 / (1.0 + np.cos(half))
+    assert np.abs(body.interior_seed() - [r, 0.0]).max() <= 1e-12
+    assert inscribed_radius(body) == pytest.approx(r, abs=1e-12)
+    lo, hi = body.bounding_box()
+    assert np.abs(lo - [0.0, -1.0]).max() <= 1e-12
+    assert np.abs(hi - [1.0 / np.cos(half), 1.0]).max() <= 1e-12
+
+    # the largest disk touches the cut and the face at 225 degrees (m % 8 == 0)
+    cut = HalfspacePolytope(*cut_polygon_halfspaces(m))
+    assert inscribed_radius(cut) == pytest.approx((1.0 + 0.3 / np.sqrt(2.0)) / 2.0, abs=1e-12)
+    assert np.abs(cut.bounding_box()[0] - [-1.0, -1.0]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("make, m", [(half_disk_halfspaces, 20_000), (cut_polygon_halfspaces, 3_000)])
+def test_lp_agrees_with_linprog_on_large_asymmetric_polytopes(make, m):
+    pytest.importorskip("scipy")
+    N, b = make(m)
+    want, r_want, box_want = linprog_reference(N, b)
+    got, r_got, box_got = outcome(N, b)
+    assert got == want == "ok"
+    # highs' own feasibility tolerance is 1e-7: on the half-disk its right end
+    # reads 1.2e-8 past the vertex 1 / cos(half) that _lp_max finds to 1e-12
+    assert abs(r_got - r_want) <= 1e-7
+    assert np.abs(box_got - box_want).max() <= 1e-7
+
+
+def test_pass_cap_is_a_typed_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bodies, "_pivot_cap", lambda m, n: 1)
     N, b = regular_polygon_halfspaces(8)
-    with pytest.raises(SimplexExhausted, match="1 pivots"):
+    with pytest.raises(SimplexExhausted, match="in 1 passes"):
         HalfspacePolytope(N, b)
     assert issubclass(SimplexExhausted, GeometryError)
     square = tmp_path / "square.json"
@@ -168,11 +215,9 @@ def test_pivot_cap_is_a_typed_error(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
-def test_bland_order_scatters_the_rows(monkeypatch):
-    # in the given order, the center of a regular m-gon costs about 0.8 m pivots
-    N, b = regular_polygon_halfspaces(200)
-    monkeypatch.setattr(bodies, "LP_PIVOT_CAP", 20)
-    HalfspacePolytope(N, b)
-    monkeypatch.setattr(bodies, "GOLDEN_FRACTION", 0.0)
-    with pytest.raises(SimplexExhausted):
-        HalfspacePolytope(N, b)
+def test_nearly_dependent_active_rows_are_a_typed_error():
+    # the second row is 1e-13 radians off the first: it joins on a rate of 1,
+    # but R's diagonal for it is 1e-13 of its length
+    A = np.array([(1.0, 0.0), (1e13, 1.0)])
+    with pytest.raises(SimplexExhausted, match="dependent"):
+        bodies._lp_max(A, np.zeros(2), np.ones(2), np.zeros(2))
