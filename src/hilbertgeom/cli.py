@@ -49,7 +49,7 @@ from .cover import (
     refinement_arc_counts,
 )
 from . import sampling
-from .errors import BadRadii, DimensionUnsupported, GeometryError, SamplingExhausted
+from .errors import BadRadii, DimensionUnsupported, GeometryError
 from .metric import (
     ball_boundary,
     concurrency_defects,
@@ -60,7 +60,7 @@ from .metric import (
     ray_point,
     ray_points,
     ray_spec,
-    sphere_point,
+    sphere_points,
 )
 from .sampling import sample_interior
 from .svgout import render_ball, render_cover, render_packing
@@ -255,122 +255,110 @@ def _planar(body: ConvexBody) -> None:
         raise DimensionUnsupported("the asdim lemmas are planar")
 
 
-# The three asdim loops below draw their n instances one at a time, in the
-# order n calls of a one-instance loop would, then run all geometry on
-# arrays.  Each instance may be redrawn at most sampling._MAX_ROUNDS times.
+def _angle_gap(TH: np.ndarray) -> np.ndarray:
+    """Angle in [0, pi] between the two directions of each row; equal to
+    |math.remainder(a - b, 2 pi)|, since 2 pi - d is exact for d in [pi, 2 pi]."""
+    d = np.abs(TH[:, 0] - TH[:, 1])
+    return np.minimum(d, TWO_PI - d)
+
+
+# Each round, the three asdim loops below draw every instance still missing
+# as arrays, run the geometry on the ones their conditions accept and keep
+# those defects; sampling._collect bounds the rounds.
 
 
 def ray_monotonicity_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
     """Decrease of d(l1(t), l2(t)) from a random s to a random t > s, on n ray pairs."""
     _planar(body)
-    budget = sampling._MAX_ROUNDS
-    diam = body.euclidean_diameter()
-    O, TH, ST = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2))
-    for k in range(n):
-        O[k] = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-        for _ in range(budget + 1):
-            TH[k] = rng.uniform(0.0, TWO_PI, 2)
-            if abs(math.remainder(TH[k, 0] - TH[k, 1], TWO_PI)) > 1e-3:
-                break
-        else:
-            raise SamplingExhausted(f"no separated ray pair in {budget + 1} angle draws")
-        s = rng.uniform(0.05, 8.0)
-        ST[k] = s, s + rng.uniform(0.05, 4.0)
+    clearance = 0.02 * body.euclidean_diameter()
 
-    body.require_interior(O, "decomposition base point must be interior")
-    P, ts = np.repeat(O, 2, axis=0), ST.ravel()
-    L1 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 0], 2)), ts)
-    L2 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 1], 2)), ts)
-    d = distance_pairs(body, L1, L2).reshape(n, 2)
-    return d[:, 0] - d[:, 1]
+    def draw(k):
+        O = sample_interior(body, k, rng, clearance)
+        TH = rng.uniform(0.0, TWO_PI, (k, 2))
+        s = rng.uniform(0.05, 8.0, k)
+        ST = np.c_[s, s + rng.uniform(0.05, 4.0, k)]
+        ok = _angle_gap(TH) > 1e-3
+        O, TH, ts = O[ok], TH[ok], ST[ok].ravel()
+        body.require_interior(O, "decomposition base point must be interior")
+        P = np.repeat(O, 2, axis=0)
+        L1 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 0], 2)), ts)
+        L2 = ray_points(body, P, _angle_rows(np.repeat(TH[:, 1], 2)), ts)
+        d = distance_pairs(body, L1, L2).reshape(-1, 2)
+        return d[:, 0] - d[:, 1]
+
+    return sampling._collect(draw, n, "too few separated ray pairs")
 
 
-def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
+def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator, n: int,
+                               rejected: list[int] | None = None) -> np.ndarray:
     """Concurrency/parallelism defects of n random equidistant pairs.
 
-    Configurations whose three lines are nearly but not exactly parallel put
-    the meeting point far away and amplify boundary rounding in the scatter,
-    so draws with pairwise direction cross below 1e-3 are rejected.  Those
-    and collinear draws are known only after the geometry, so rejected
-    instances are refilled in rounds, in draw order, until n are accepted.
+    Rays within 0.1 of parallel are not transversal, and configurations
+    whose three lines are nearly but not exactly parallel put the meeting
+    point far away and amplify boundary rounding in the scatter, so draws
+    with pairwise direction cross below 1e-3 are rejected, as are collinear
+    ones.  Each round appends its number of rejected draws to ``rejected``
+    when it is given.
     """
     _planar(body)
-    budget = sampling._MAX_ROUNDS
-    diam = body.euclidean_diameter()
-    out = np.empty(0)
-    for _ in range(budget + 1):
-        need = n - out.size
-        O, TH, T = np.empty((need, 2)), np.empty((need, 2)), np.empty(need)
-        for k in range(need):
-            for _ in range(budget + 1):
-                O[k] = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-                TH[k] = rng.uniform(0.0, TWO_PI, 2)
-                sep = abs(math.remainder(TH[k, 0] - TH[k, 1], TWO_PI))
-                if sep >= 0.1 and abs(sep - math.pi) >= 0.1:
-                    break
-            else:
-                raise SamplingExhausted(f"no transversal ray pair in {budget + 1} draws")
-            T[k] = rng.uniform(0.2, 4.0)
+    clearance = 0.02 * body.euclidean_diameter()
 
+    def draw(k):
+        O = sample_interior(body, k, rng, clearance)
+        TH = rng.uniform(0.0, TWO_PI, (k, 2))
+        T = rng.uniform(0.2, 4.0, k)
+        sep = _angle_gap(TH)
+        ok = (sep >= 0.1) & (np.abs(sep - math.pi) >= 0.1)
+        O, TH, T = O[ok], TH[ok], T[ok]
         body.require_interior(O, "ray base must be interior")
-        A2 = ray_points(body, O, _angle_rows(TH[:, 0]), T)
-        B2 = ray_points(body, O, _angle_rows(TH[:, 1]), T)
-        rep = concurrency_defects(body, O, A2, B2)
-        keep = ~rep.rejected & (rep.parallel | (rep.min_cross >= 1e-3))
-        out = np.concatenate([out, rep.defect[keep]])
-        if out.size == n:
-            return out
-    raise SamplingExhausted(f"concurrency instances still rejected after {budget + 1} rounds")
+        rep = concurrency_defects(body, O, ray_points(body, O, _angle_rows(TH[:, 0]), T),
+                                  ray_points(body, O, _angle_rows(TH[:, 1]), T))
+        got = rep.defect[~rep.rejected & (rep.parallel | (rep.min_cross >= 1e-3))]
+        if rejected is not None:
+            rejected.append(k - got.size)
+        return got
+
+    return sampling._collect(draw, n, "too few well-conditioned concurrency instances")
 
 
 def coray_projection_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
     """d(lx(s), ly(s)) - 2 d(x,y) at a random co-ray parameter s, for n instances."""
     _planar(body)
-    budget = sampling._MAX_ROUNDS
     diam = body.euclidean_diameter()
-    O, X, Y, V = np.empty((n, 2)), np.empty((n, 2)), np.empty((n, 2)), np.empty(n)
-    for k in range(n):
-        for _ in range(budget + 1):
-            o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-            x = sample_interior(body, 1, rng)[0]
-            if np.linalg.norm(x - o) < 1e-3 * diam:
-                continue
-            r = rng.uniform(0.2, 2.0)
-            u = rng.normal(size=2)
-            y = ray_point(ray_spec(body, x, u), rng.uniform(0.1, 1.0) * r)
-            if np.linalg.norm(y - o) >= 1e-3 * diam:
-                break
-        else:
-            raise SamplingExhausted(f"no separated co-ray triple in {budget + 1} draws")
-        O[k], X[k], Y[k] = o, x, y
-        # s = rng.uniform(0.01, d(o, y)) needs d(o, y): draw its unit variate
-        # here, in stream order, and scale it below (bit-identical to uniform)
-        V[k] = rng.random()
 
-    for P in (X, Y, O):
-        body.require_interior(P, "distance is defined for interior points only")
-    dxy = distance_pairs(body, X, Y)
-    dox = distance_pairs(body, O, X)
-    doy = distance_pairs(body, O, Y)
-    swap = (dox > doy)[:, None]
-    X, Y = np.where(swap, Y, X), np.where(swap, X, Y)
-    s = 0.01 + (np.maximum(dox, doy) - 0.01) * V
-    LX = ray_points(body, O, _unit_rows(X - O), s)
-    LY = ray_points(body, O, _unit_rows(Y - O), s)
-    for P in (LX, LY):
-        body.require_interior(P, "distance is defined for interior points only")
-    return distance_pairs(body, LX, LY) - 2.0 * dxy
+    def draw(k):
+        O = sample_interior(body, k, rng, 0.02 * diam)
+        X = sample_interior(body, k, rng)
+        r = rng.uniform(0.2, 2.0, k)
+        U = _unit_rows(rng.normal(size=(k, 2)))
+        Y = ray_points(body, X, U, rng.uniform(0.1, 1.0, k) * r)
+        ok = ((np.linalg.norm(X - O, axis=1) >= 1e-3 * diam)
+              & (np.linalg.norm(Y - O, axis=1) >= 1e-3 * diam))
+        O, X, Y = O[ok], X[ok], Y[ok]
+        body.require_interior(np.vstack([X, Y, O]), "distance is defined for interior points only")
+        dxy = distance_pairs(body, X, Y)
+        dox = distance_pairs(body, O, X)
+        doy = distance_pairs(body, O, Y)
+        swap = (dox > doy)[:, None]
+        X, Y = np.where(swap, Y, X), np.where(swap, X, Y)
+        s = rng.uniform(0.01, np.maximum(dox, doy))
+        LX = ray_points(body, O, _unit_rows(X - O), s)
+        LY = ray_points(body, O, _unit_rows(Y - O), s)
+        body.require_interior(np.vstack([LX, LY]), "distance is defined for interior points only")
+        return distance_pairs(body, LX, LY) - 2.0 * dxy
+
+    return sampling._collect(draw, n, "too few separated co-ray triples")
 
 
-def footprint_defect(body: ConvexBody, o, rng: np.random.Generator) -> float:
-    """Radial footprint diameter minus 4r for one ball centered on one of the
-    asdim suite's spheres, at its sphere step R and probe radius r."""
-    R, r = ASDIM_STEP, ASDIM_PROBE_RADIUS
-    i = int(rng.integers(1, ASDIM_LEVELS + 1))
-    center = sphere_point(body, o, float(rng.uniform(0.0, TWO_PI)), i * R)
-    diam = footprint_diameter(body, o, center, r, i * R, samples=48,
-                              seed=int(rng.integers(2**31)))
-    return float(diam - 4.0 * r)
+def footprint_defect(body: ConvexBody, o, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Radial footprint diameter minus 4r for n balls centered on the asdim
+    suite's spheres, at its sphere step R and probe radius r."""
+    r = ASDIM_PROBE_RADIUS
+    ts = ASDIM_STEP * rng.integers(1, ASDIM_LEVELS + 1, n)
+    C = sphere_points(body, o, rng.uniform(0.0, TWO_PI, n), ts)
+    seeds = rng.integers(2**31, size=n)
+    return np.array([footprint_diameter(body, o, c, r, t, samples=48, seed=int(seed))
+                     for c, t, seed in zip(C, ts, seeds)]) - 4.0 * r
 
 
 def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
@@ -454,7 +442,7 @@ def _suite_coarse(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     rng = np.random.default_rng([seed, 60])
     clearance = 0.05 * body.euclidean_diameter()
     A = sample_interior(body, min(n, 200), rng, clearance)
-    diam = float(np.max(pairwise_distances(body, A)))
+    diam = float(np.max(pairwise_distances(body, A), initial=0.0))
     rows.append(_row("clearance_sets_bounded", 0.0 if math.isfinite(diam) else math.inf,
                      0.0, len(A), note=f"sampled diameter {diam:.4f} at clearance {clearance:.4f}"))
     return rows
@@ -516,9 +504,11 @@ def _suite_asdim(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
                      ray_monotonicity_defect(body, rng, n).max(), tol, n))
 
     rng = np.random.default_rng([seed, 42])
+    rejected: list[int] = []
     rows.append(_row("equidistance_lines_concurrency",
-                     concurrency_scatter_defect(body, rng, n).max(), 1e-7, n,
-                     note="conditioned on pairwise line cross >= 1e-3"))
+                     concurrency_scatter_defect(body, rng, n, rejected).max(), 1e-7, n,
+                     note=f"conditioned on pairwise line cross >= 1e-3; "
+                          f"rejected_draws={sum(rejected)}"))
 
     rng = np.random.default_rng([seed, 43])
     rows.append(_row("coray_projection_2r_bound",
@@ -527,7 +517,7 @@ def _suite_asdim(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
     rng = np.random.default_rng([seed, 44])
     nf = max(10, n // 10)
     rows.append(_row("projection_footprint_4r",
-                     max(footprint_defect(body, o, rng) for _ in range(nf)),
+                     footprint_defect(body, o, rng, nf).max(),
                      arc_tolerance(ASDIM_STEP), nf))
 
     R, r, levels = ASDIM_STEP, ASDIM_PROBE_RADIUS, ASDIM_LEVELS

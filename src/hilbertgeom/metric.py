@@ -166,16 +166,6 @@ def ray_point(ray: RaySpec, t: float) -> np.ndarray:
     return ray.base + s * ray.direction
 
 
-def sphere_point(body: ConvexBody, o, theta: float, t: float) -> np.ndarray:
-    """Point of the Hilbert sphere of radius t > 0 about o in direction theta (2-D)."""
-    if body.dimension != 2:
-        raise DimensionUnsupported("sphere_point is defined in the plane only")
-    if t <= 0.0:
-        raise NegativeParameter("sphere radius must be positive")
-    u = np.array([math.cos(theta), math.sin(theta)])
-    return ray_point(ray_spec(body, o, u), t)
-
-
 def sphere_points(body: ConvexBody, o, thetas: np.ndarray, ts) -> np.ndarray:
     """Vectorized sphere sampler: rows are points at radius ts[k] (or scalar t)."""
     o = as_point(o, 2)

@@ -11,6 +11,19 @@ from .metric import ball_boundary, distance_pairs
 _MAX_ROUNDS = 200
 
 
+def _collect(draw, n: int, what: str) -> np.ndarray:
+    """First n rows of ``draw(k)``, called with the k rows still missing and
+    returning the rows it accepts: one first draw and at most _MAX_ROUNDS
+    redraws, then SamplingExhausted."""
+    parts, held = [], 0
+    for _ in range(_MAX_ROUNDS + 1):
+        parts.append(draw(n - held))
+        held += len(parts[-1])
+        if held >= n:
+            return np.concatenate(parts)[:n]
+    raise SamplingExhausted(f"{what} in {_MAX_ROUNDS + 1} draws")
+
+
 def sample_interior(
     body: ConvexBody,
     n: int,
@@ -19,16 +32,12 @@ def sample_interior(
 ) -> np.ndarray:
     """Draw n points with signed gap below -clearance, uniformly from the box."""
     lo, hi = body.bounding_box()
-    out = np.empty((0, body.dimension))
-    for _ in range(_MAX_ROUNDS):
-        if out.shape[0] >= n:
-            break
+
+    def draw(_):  # candidates for the whole request each round
         cand = rng.uniform(lo, hi, size=(max(2 * n, 64), body.dimension))
-        keep = body.signed_gap(cand) < -max(clearance, body.boundary_tol())
-        out = np.vstack([out, cand[keep]])
-    if out.shape[0] < n:
-        raise SamplingExhausted("rejection sampling failed; clearance too large for the body")
-    return out[:n]
+        return cand[body.signed_gap(cand) < -max(clearance, body.boundary_tol())]
+
+    return _collect(draw, n, "too few points clear of the boundary")
 
 
 def ball_box(body: ConvexBody, center, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -67,12 +76,5 @@ def sample_ball(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Draw exactly n points of the closed metric ball B(center, t)."""
-    out = np.empty((0, body.dimension))
-    for _ in range(_MAX_ROUNDS):
-        if out.shape[0] >= n:
-            break
-        got = ball_candidates(body, center, t, max(2 * n, 64), rng)
-        out = np.vstack([out, got])
-    if out.shape[0] < n:
-        raise SamplingExhausted("metric ball rejection sampling failed to fill the request")
-    return out[:n]
+    return _collect(lambda _: ball_candidates(body, center, t, max(2 * n, 64), rng), n,
+                    "too few points of the metric ball")

@@ -1,12 +1,16 @@
-"""The batched asdim loops against the one-instance loops they replaced.
+"""The batched asdim loops against per-instance scalar geometry.
 
 ``ray_monotonicity_defect``, ``concurrency_scatter_defect`` and
-``coray_projection_defect`` take an instance count and run their geometry
-on arrays.  The scalar loops below are the earlier one-instance forms, kept
-as the reference: the batched form must draw the same instances (the RNG
-ends in the same state) and give the same defects up to rounding.
+``coray_projection_defect`` draw every missing instance of a round as
+arrays and run their geometry on arrays.  The references below draw the
+same arrays in the same order, then measure each instance on its own
+(one ``SphereField`` per ray pair; ``ray_spec``/``ray_point`` with one-row
+``concurrency_defects``; ``distance`` with ``ray_spec``/``ray_point``):
+the RNG must end in the same state and the defects must agree up to
+rounding.
 """
 
+import json
 import math
 
 import numpy as np
@@ -28,69 +32,79 @@ from hilbertgeom.metric import (
     projective_transfer_defect,
     ray_point,
     ray_spec,
-    sphere_point,
 )
 from hilbertgeom.sampling import sample_interior
 
 TWO_PI = 2.0 * math.pi
 
 
-def scalar_monotonicity(body, rng):
-    o = sample_interior(body, 1, rng, clearance=0.02 * body.euclidean_diameter())[0]
-    while True:
-        th = rng.uniform(0.0, TWO_PI, 2)
-        if abs(math.remainder(th[0] - th[1], TWO_PI)) > 1e-3:
-            break
-    s = rng.uniform(0.05, 8.0)
-    t = s + rng.uniform(0.05, 4.0)
-    field = SphereField(body, o)
-    ts = np.array([s, t])
-    d = distance_pairs(body, field.points(np.full(2, th[0]), ts),
-                       field.points(np.full(2, th[1]), ts))
-    return float(d[0] - d[1])
+def scalar_monotonicity(body, rng, k):
+    O = sample_interior(body, k, rng, 0.02 * body.euclidean_diameter())
+    TH = rng.uniform(0.0, TWO_PI, (k, 2))
+    S = rng.uniform(0.05, 8.0, k)
+    T = S + rng.uniform(0.05, 4.0, k)
+    out = []
+    for o, th, s, t in zip(O, TH, S, T):
+        if abs(math.remainder(th[0] - th[1], TWO_PI)) <= 1e-3:
+            continue
+        field = SphereField(body, o)
+        ts = np.array([s, t])
+        d = distance_pairs(body, field.points(np.full(2, th[0]), ts),
+                           field.points(np.full(2, th[1]), ts))
+        out.append(float(d[0] - d[1]))
+    return out
 
 
-def scalar_concurrency(body, rng):
-    diam = body.euclidean_diameter()
-    while True:
-        o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-        th = rng.uniform(0.0, TWO_PI, 2)
+def scalar_concurrency(body, rng, k):
+    O = sample_interior(body, k, rng, 0.02 * body.euclidean_diameter())
+    TH = rng.uniform(0.0, TWO_PI, (k, 2))
+    T = rng.uniform(0.2, 4.0, k)
+    out = []
+    for o, th, t in zip(O, TH, T):
         sep = abs(math.remainder(th[0] - th[1], TWO_PI))
         if sep < 0.1 or abs(sep - math.pi) < 0.1:
             continue
-        t = rng.uniform(0.2, 4.0)
-        a2 = sphere_point(body, o, th[0], t)
-        b2 = sphere_point(body, o, th[1], t)
+        a2, b2 = (ray_point(ray_spec(body, o, (math.cos(a), math.sin(a))), t) for a in th)
         rep = concurrency_defects(body, o[None, :], a2[None, :], b2[None, :])
         if rep.rejected[0]:
             continue
         if not rep.parallel[0] and rep.min_cross[0] < 1e-3:
             continue
-        return float(rep.defect[0])
+        out.append(float(rep.defect[0]))
+    return out
 
 
-def scalar_coray(body, rng):
+def scalar_coray(body, rng, k):
     diam = body.euclidean_diameter()
-    while True:
-        o = sample_interior(body, 1, rng, clearance=0.02 * diam)[0]
-        x = sample_interior(body, 1, rng)[0]
-        if np.linalg.norm(x - o) < 1e-3 * diam:
+    O = sample_interior(body, k, rng, 0.02 * diam)
+    X = sample_interior(body, k, rng)
+    r = rng.uniform(0.2, 2.0, k)
+    U = rng.normal(size=(k, 2))
+    F = rng.uniform(0.1, 1.0, k)
+    kept = []
+    for o, x, u, t in zip(O, X, U, F * r):
+        y = ray_point(ray_spec(body, x, u), t)
+        if min(np.linalg.norm(x - o), np.linalg.norm(y - o)) < 1e-3 * diam:
             continue
-        r = rng.uniform(0.2, 2.0)
-        u = rng.normal(size=2)
-        y = ray_point(ray_spec(body, x, u), rng.uniform(0.1, 1.0) * r)
-        if np.linalg.norm(y - o) < 1e-3 * diam:
-            continue
-        dxy = distance(body, x, y)
-        dox = distance(body, o, x)
-        doy = distance(body, o, y)
+        dxy, dox, doy = distance(body, x, y), distance(body, o, x), distance(body, o, y)
         if dox > doy:
-            x, y = y, x
-            dox, doy = doy, dox
-        s = rng.uniform(0.01, doy)
-        lx = ray_point(ray_spec(body, o, x - o), s)
-        ly = ray_point(ray_spec(body, o, y - o), s)
-        return float(distance(body, lx, ly) - 2.0 * dxy)
+            x, y, doy = y, x, dox
+        kept.append((o, x, y, dxy, doy))
+    S = rng.uniform(0.01, np.array([doy for *_, doy in kept]))
+    return [distance(body, ray_point(ray_spec(body, o, x - o), s),
+                     ray_point(ray_spec(body, o, y - o), s)) - 2.0 * dxy
+            for (o, x, y, dxy, _), s in zip(kept, S)]
+
+
+def scalar_rounds(body, rng, n, scalar):
+    """Rounds of ``scalar`` on the instances still missing until n are kept;
+    returns the defects and the number of instances drawn."""
+    out, drawn = [], 0
+    while len(out) < n:
+        k = n - len(out)
+        out += scalar(body, rng, k)
+        drawn += k
+    return np.array(out), drawn
 
 
 N = 200
@@ -105,11 +119,16 @@ def test_batched_loops_draw_the_scalar_instances(any_body, seed):
     ]):
         r1 = np.random.default_rng([seed, 41 + k])
         r2 = np.random.default_rng([seed, 41 + k])
-        got = batched(any_body, r1, N)
-        want = np.array([scalar(any_body, r2) for _ in range(N)])
+        rejected = []
+        if scalar is scalar_concurrency:
+            got = batched(any_body, r1, N, rejected)
+        else:
+            got = batched(any_body, r1, N)
+        want, drawn = scalar_rounds(any_body, r2, N, scalar)
         assert r1.bit_generator.state == r2.bit_generator.state, batched.__name__
         assert got.shape == (N,)
         if scalar is scalar_concurrency:
+            assert sum(rejected) == drawn - N
             # rounding noise on both sides, far below the suite tolerance
             assert got.max() <= 1e-7 and want.max() <= 1e-7
             continue
@@ -159,3 +178,28 @@ def test_exhausted_budget_exits_2(suite, tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "precondition violated: SamplingExhausted" in err
     assert "Traceback" not in err
+
+
+def test_asdim_suite_draws_in_a_few_sampler_calls_and_notes_rejections(tmp_path, monkeypatch,
+                                                                       capsys):
+    disk = tmp_path / "disk.json"
+    disk.write_text('{"type": "disk", "center": [0, 0], "radius": 1.0}\n')
+    asked = []
+
+    def sampler(body, n, *args, **kwargs):
+        asked.append(n)
+        return sample_interior(body, n, *args, **kwargs)
+
+    monkeypatch.setattr("hilbertgeom.cli.sample_interior", sampler)
+    assert main(["verify", "--body", str(disk), "--suite", "asdim", "--samples", "200",
+                 "--out", str(tmp_path / "v")]) == 0
+    # one call per round of each loop (two for the co-ray loop), not one per instance
+    assert asked[0] == 200 and len(asked) <= 20
+
+    rows = json.loads((tmp_path / "v" / "verify_asdim.json").read_text())["rows"]
+    row = next(r for r in rows if r["name"] == "equidistance_lines_concurrency")
+    rejected = []
+    concurrency_scatter_defect(Disk((0.0, 0.0), 1.0), np.random.default_rng([0, 42]), 200, rejected)
+    assert sum(rejected) > 0
+    assert row["note"] == (f"conditioned on pairwise line cross >= 1e-3; "
+                           f"rejected_draws={sum(rejected)}")

@@ -321,6 +321,19 @@ def test_verify_metric_notes_rejected_perspective_draws(disk_json, tmp_path, cap
     assert sum(rejected) > 0
 
 
+@pytest.mark.parametrize("suite", ["coarse", "all"])
+def test_verify_one_sample_gives_a_one_point_clearance_set(suite, disk_json, tmp_path, capsys):
+    # one sampled point has no pairs: its diameter is 0, not an empty max
+    out = tmp_path / "v1"
+    assert main(["verify", "--body", disk_json, "--suite", suite, "--samples", "1",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = json.loads((out / f"verify_{suite}.json").read_text())["rows"]
+    row = next(r for r in rows if r["name"] == "clearance_sets_bounded")
+    assert row["passed"] and row["samples"] == 1
+    assert row["note"].startswith("sampled diameter 0.0000 ")
+
+
 def test_verify_unattainable_tolerance_exits_3(disk_json, tmp_path, capsys):
     out = tmp_path / "v3"
     code = main(["verify", "--body", disk_json, "--suite", "metric",

@@ -30,7 +30,7 @@ from hilbertgeom import (
     piece_diameter,
     ray_points,
     refine_to_depth,
-    sphere_point,
+    sphere_points,
 )
 from hilbertgeom.cover import (
     ArcDecomposition,
@@ -63,7 +63,7 @@ def test_initial_markers_sit_on_level_one_sphere(unit_disk):
     o = np.zeros(2)
     dec = initial_decomposition(unit_disk, o, R)
     for m in dec.markers:
-        p = sphere_point(unit_disk, o, m.angle, R)
+        p = sphere_points(unit_disk, o, [m.angle], R)[0]
         assert distance(unit_disk, o, p) == pytest.approx(R, abs=1e-9)
 
 
@@ -224,7 +224,7 @@ def test_admissibility_detects_a_moved_marker(unit_disk):
 def test_projection_between_levels_lands_on_target_sphere(any_body):
     # radial projection slides x along its ray from o to the target sphere
     o = any_body.interior_seed()
-    x = sphere_point(any_body, o, 1.1, 2.0)
+    x = sphere_points(any_body, o, [1.1], 2.0)[0]
     u = (x - o) / np.linalg.norm(x - o)
     p = ray_points(any_body, o[None, :], u[None, :], 1.0)[0]
     assert distance(any_body, o, p) == pytest.approx(1.0, abs=1e-9)
@@ -423,7 +423,7 @@ def test_footprint_of_small_ball_is_narrow(any_body):
     o = any_body.interior_seed()
     r = 0.2
     for i, theta in ((1, 0.4), (2, 2.1), (3, 4.4)):
-        c = sphere_point(any_body, o, theta, i * R)
+        c = sphere_points(any_body, o, [theta], i * R)[0]
         diam = footprint_diameter(any_body, o, c, r, i * R, 48, seed=2)
         assert diam <= 4.0 * r + arc_tolerance(R)
 

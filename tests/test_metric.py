@@ -27,7 +27,7 @@ from hilbertgeom import (
     pairwise_distances,
     ray_point,
     ray_spec,
-    sphere_point,
+    sphere_points,
 )
 from hilbertgeom.errors import (
     BadOrder,
@@ -210,7 +210,7 @@ def test_ray_point_hits_requested_distance(any_body):
 def test_sphere_point_inverts_distance(any_body):
     o = any_body.interior_seed()
     for theta in np.linspace(0.0, 2.0 * np.pi, 9, endpoint=False):
-        p = sphere_point(any_body, o, float(theta), 2.0)
+        p = sphere_points(any_body, o, [float(theta)], 2.0)[0]
         assert distance(any_body, o, p) == pytest.approx(2.0, abs=1e-9)
 
 
@@ -251,8 +251,8 @@ def _one_row(body, o, a2, b2):
 
 def test_concurrency_generic_config_meets_outside(unit_disk):
     o = np.array([0.1, -0.05])
-    a2 = sphere_point(unit_disk, o, 0.3, 1.2)
-    b2 = sphere_point(unit_disk, o, 1.9, 1.2)
+    a2 = sphere_points(unit_disk, o, [0.3], 1.2)[0]
+    b2 = sphere_points(unit_disk, o, [1.9], 1.2)[0]
     rep = _one_row(unit_disk, o, a2, b2)
     assert not rep.rejected[0] and not rep.parallel[0]
     assert rep.defect[0] <= 1e-7
@@ -263,7 +263,7 @@ def test_concurrency_generic_config_meets_outside(unit_disk):
 def test_concurrency_mirror_config_is_parallel(unit_disk):
     # reflection symmetry across the x axis forces three vertical lines
     o = np.zeros(2)
-    a2 = sphere_point(unit_disk, o, 0.7, 1.0)
+    a2 = sphere_points(unit_disk, o, [0.7], 1.0)[0]
     b2 = np.array([a2[0], -a2[1]])
     rep = _one_row(unit_disk, o, a2, b2)
     assert not rep.rejected[0] and rep.parallel[0]
@@ -281,9 +281,9 @@ def test_concurrency_rejects_collinear_and_mismatched(unit_disk):
 def test_concurrency_rows_match_one_row_calls(any_body):
     # two equidistant pairs and a collinear triple, in one call and one at a time
     o = any_body.interior_seed()
-    a2 = sphere_point(any_body, o, 0.3, 1.2)
-    rows = [(o, a2, sphere_point(any_body, o, 1.9, 1.2)),
-            (o, a2, sphere_point(any_body, o, 2.4, 1.2)),
+    a2 = sphere_points(any_body, o, [0.3], 1.2)[0]
+    rows = [(o, a2, sphere_points(any_body, o, [1.9], 1.2)[0]),
+            (o, a2, sphere_points(any_body, o, [2.4], 1.2)[0]),
             (o, a2, o + 0.5 * (o - a2))]
     got = concurrency_defects(any_body, *(np.array(col) for col in zip(*rows)))
     assert got.rejected.tolist() == [False, False, True]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hilbertgeom import Polygon, sample_ball, sample_interior
+from hilbertgeom import Polygon, sample_ball, sample_interior, sampling
 from hilbertgeom.errors import GeometryError, SamplingExhausted
 
 # 2 x 0.01 rectangle: no point clears 0.1 of the boundary
@@ -20,8 +20,6 @@ def test_sample_interior_exhaustion_is_typed():
 
 def test_sample_ball_exhaustion_is_typed(unit_disk, monkeypatch):
     # a ball whose candidate draws are all rejected can never be filled
-    import hilbertgeom.sampling as sampling
-
     monkeypatch.setattr(sampling, "ball_candidates", lambda *a, **k: np.empty((0, 2)))
     with pytest.raises(SamplingExhausted):
         sample_ball(unit_disk, (0.0, 0.0), 1.0, 5, np.random.default_rng(0))
@@ -34,3 +32,45 @@ def test_samplers_fill_requests(unit_disk):
     assert np.all(unit_disk.signed_gap(X) < -0.1)
     B = sample_ball(unit_disk, (0.0, 0.0), 1.0, 20, rng)
     assert B.shape == (20, 2)
+
+
+def test_collect_returns_n_rows_in_draw_order():
+    asked = []
+
+    def draw(k):
+        asked.append(k)
+        return np.arange(3) + 10 * len(asked)   # three rows per draw
+
+    got = sampling._collect(draw, 7, "unused")
+    assert asked == [7, 4, 1]
+    assert got.tolist() == [10, 11, 12, 20, 21, 22, 30]
+
+
+def test_collect_gives_up_after_a_first_draw_and_max_rounds_redraws():
+    asked = []
+    with pytest.raises(SamplingExhausted, match=f"nothing in {sampling._MAX_ROUNDS + 1} draws"):
+        sampling._collect(lambda k: asked.append(k) or np.empty(0), 5, "nothing")
+    assert asked == [5] * (sampling._MAX_ROUNDS + 1)
+
+
+def test_sample_interior_draws_max_2n_64_candidates_per_round(heptagon):
+    # each round draws max(2n, 64) candidates for the whole request, however
+    # many are still missing, so the stream does not depend on earlier rounds
+    got_rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    got = sample_interior(heptagon, 500, got_rng, clearance=0.3)
+    lo, hi = heptagon.bounding_box()
+    kept, rounds = np.empty((0, 2)), 0
+    while len(kept) < 500:
+        cand = ref.uniform(lo, hi, size=(1000, 2))
+        kept = np.vstack([kept, cand[heptagon.signed_gap(cand) < -0.3]])
+        rounds += 1
+    assert rounds >= 2 and len(kept) > 500   # a redraw, and the last one overfills
+    assert np.array_equal(got, kept[:500])
+    assert got_rng.bit_generator.state == ref.bit_generator.state
+
+    # exhausted: one first draw and _MAX_ROUNDS redraws of 64 candidates each
+    body, rng, ref = Polygon(THIN), np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(SamplingExhausted):
+        sample_interior(body, 1, rng, clearance=0.1)
+    ref.uniform(size=((sampling._MAX_ROUNDS + 1) * 64, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
