@@ -770,24 +770,6 @@ def is_strictly_convex(body: ConvexBody) -> bool:
     return body.strictly_convex
 
 
-def line_intersection(
-    p1: Sequence[float],
-    d1: Sequence[float],
-    p2: Sequence[float],
-    d2: Sequence[float],
-) -> np.ndarray | None:
-    """Intersection of two lines in the plane, or None when (anti)parallel."""
-    a1 = as_point(p1, 2)
-    a2 = as_point(p2, 2)
-    u1 = as_direction(d1, 2)
-    u2 = as_direction(d2, 2)
-    den = float(_cross2(u1, u2))
-    if abs(den) < TAU_PAR:
-        return None
-    t = float(_cross2(a2 - a1, u2)) / den
-    return a1 + t * u1
-
-
 def _field(spec: dict, name: str, scalar: bool = False):
     """Field ``name`` of a body description: a number, or unless ``scalar`` a
     nested list of numbers.  ValueError names a missing or ill-typed field."""

@@ -61,6 +61,7 @@ from .metric import (
     ray_points,
     ray_spec,
     sphere_points,
+    _unit_rows,
 )
 from .sampling import sample_interior
 from .svgout import render_ball, render_cover, render_packing
@@ -161,7 +162,8 @@ def _build_parser() -> _Parser:
     b = sub.add_parser("ball", parents=[body, out], help="render a metric ball")
     b.add_argument("--center", type=_point_arg, required=True)
     b.add_argument("--t", type=_positive_float, required=True, help="ball radius, > 0")
-    b.add_argument("--n", type=int, default=256, help="boundary sample count (>= 3)")
+    b.add_argument("--n", type=lambda s: _int_at_least(s, 3), default=256,
+                   help="boundary sample count (>= 3)")
     b.set_defaults(func=cmd_ball)
 
     c = sub.add_parser("cover", parents=[body, seed, out, center],
@@ -240,10 +242,6 @@ def _row(name: str, defect: float, tol: float, samples: int, note: str = "") -> 
         "samples": int(samples),
         "note": note,
     }
-
-
-def _unit_rows(V: np.ndarray) -> np.ndarray:
-    return V / np.linalg.norm(V, axis=1)[:, None]
 
 
 def _angle_rows(thetas: np.ndarray) -> np.ndarray:
@@ -412,7 +410,7 @@ def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
 
     rng = np.random.default_rng([seed, 6])
     rejected: list[int] = []
-    worst = max(projective_transfer_defect(rng, rejected) for _ in range(n))
+    worst = float(projective_transfer_defect(rng, n, rejected).max())
     rows.append(_row("cross_ratio_projective_invariance", worst, tol, n,
                      note=f"rejected_draws={sum(rejected)}"))
     return rows

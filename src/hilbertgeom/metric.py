@@ -32,7 +32,6 @@ from .bodies import (
     as_point,
     chord_through,
     classify,
-    line_intersection,
     _cross2,
     _read_only,
 )
@@ -44,7 +43,6 @@ from .errors import (
     ExteriorPoint,
     NegativeParameter,
     OffChord,
-    SamplingExhausted,
 )
 
 
@@ -285,67 +283,69 @@ def concurrency_defects(body: ConvexBody, O, A2, B2) -> ConcurrencyRows:
     return rows
 
 
-def projective_transfer_defect(rng: np.random.Generator, rejected: list[int] | None = None) -> float:
-    """Cross-ratio disagreement for one random perspective configuration.
+def _unit_rows(V: np.ndarray) -> np.ndarray:
+    return V / np.linalg.norm(V, axis=1)[:, None]
 
-    Draws four ordered points on a source line and maps them to a target
-    line, through a random center for half the draws and along a fixed
-    parallel direction for the rest.  Returns |source cr - target cr|;
-    a perspective map preserves the cross-ratio, so this measures only
-    numerical error.  Ill-conditioned draws (source points closer than 0.2
-    or images closer than 1e-3, grazing projections, huge cross-ratios)
-    are rejected and redrawn, at most ``sampling._MAX_ROUNDS`` times before
-    SamplingExhausted; the number of rejected draws is appended to
-    ``rejected`` when it is given.
+
+def _cross_ratios(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator and denominator of the cross ratio of (tail, x, y, head) for
+    each row of the (m, 4, 2) array X; see ``cross_ratio``."""
+    def gap(i, j):
+        return np.linalg.norm(X[:, i] - X[:, j], axis=1)
+
+    return gap(1, 3) * gap(2, 0), gap(1, 0) * gap(2, 3)
+
+
+def projective_transfer_defect(
+    rng: np.random.Generator, n: int, rejected: list[int] | None = None
+) -> np.ndarray:
+    """Cross-ratio disagreement of n random perspective configurations.
+
+    Each configuration maps four ordered points on a source line to a target
+    line, through a random center for half the draws and along a random
+    parallel direction for the rest.  A perspective map preserves the
+    cross-ratio, so each |source cr - target cr| measures only numerical
+    error.  Ill-conditioned draws (source points closer than 0.2 or images
+    closer than 1e-3, grazing projections, huge cross-ratios) are dropped.
+    Each round draws every missing configuration as arrays and appends its
+    number of dropped draws to ``rejected`` when it is given;
+    ``sampling._collect`` bounds the rounds.
     """
-    from . import sampling  # sampling imports this module, so bind the budget late
+    from . import sampling  # sampling imports this module, so bind it late
 
-    for k in range(sampling._MAX_ROUNDS + 1):
-        pA = rng.uniform(-1.0, 1.0, 2)
-        dA = rng.normal(size=2)
-        dA /= np.linalg.norm(dA)
-        pB = rng.uniform(-1.0, 1.0, 2) + rng.normal(size=2) * 2.0
-        dB = rng.normal(size=2)
-        dB /= np.linalg.norm(dB)
-        ts = np.sort(rng.uniform(-3.0, 3.0, 4))
-        if np.min(np.diff(ts)) < 0.2:
-            continue
-        P = pA + ts[:, None] * dA
+    def draw(k):
+        pA, dA = rng.uniform(-1.0, 1.0, (k, 2)), _unit_rows(rng.normal(size=(k, 2)))
+        pB = rng.uniform(-1.0, 1.0, (k, 2)) + rng.normal(size=(k, 2)) * 2.0
+        dB = _unit_rows(rng.normal(size=(k, 2)))
+        ts = np.sort(rng.uniform(-3.0, 3.0, (k, 4)), axis=1)
+        concurrent = rng.uniform(size=k) < 0.5
+        C = rng.uniform(-6.0, 6.0, (k, 2))
+        V = _unit_rows(rng.normal(size=(k, 2)))
 
-        concurrent = rng.uniform() < 0.5
-        if concurrent:
-            c = rng.uniform(-6.0, 6.0, 2)
-            rays = P - c
-            norms = np.linalg.norm(rays, axis=1)
-            if np.min(norms) < 0.5:
-                continue
-            if np.min(np.abs(_cross2(rays / norms[:, None], dB))) < 0.1:
-                continue
-            Q = [line_intersection(c, r, pB, dB) for r in rays]
-        else:
-            v = rng.normal(size=2)
-            v /= np.linalg.norm(v)
-            if abs(float(_cross2(v, dB))) < 0.1 or abs(float(_cross2(v, dA))) < 0.1:
-                continue
-            Q = [line_intersection(p, v, pB, dB) for p in P]
-        if any(q is None for q in Q):
-            continue
-        q = np.array(Q)
+        # the four projection lines of a row run through its center along the
+        # rays to the source points, or through the source points along V
+        P = pA[:, None] + ts[..., None] * dA[:, None]
+        rays = P - C[:, None]
+        norms = np.linalg.norm(rays, axis=2)
+        U = np.where(concurrent[:, None, None], rays / norms[..., None], V[:, None])
+        S = np.where(concurrent[:, None, None], C[:, None], P)
+        den = _cross2(U, dB[:, None])
+        cross = np.abs(den).min(axis=1)  # no (anti)parallel or grazing projection line
+        ok = (np.diff(ts, axis=1).min(axis=1) >= 0.2) & (cross >= TAU_PAR) & (cross >= 0.1)
+        ok &= np.where(concurrent, norms.min(axis=1) >= 0.5, np.abs(_cross2(V, dA)) >= 0.1)
+        P, S, U, den, pB, dB = P[ok], S[ok], U[ok], den[ok], pB[ok], dB[ok]
+        Q = S + (_cross2(pB[:, None] - S, dB[:, None]) / den)[..., None] * U
         # the images need a spacing floor as the source points do: images
         # a few 1e-6 apart carry float64 rounding past the 1e-9 tolerance
-        if np.min(np.diff(np.sort(q @ dB))) < 1e-3:
-            continue
-
-        cr_src = cross_ratio(P[1], P[2], Chord(tail=P[0], head=P[3]))
-        num = float(np.linalg.norm(q[1] - q[3]) * np.linalg.norm(q[2] - q[0]))
-        den = float(np.linalg.norm(q[1] - q[0]) * np.linalg.norm(q[2] - q[3]))
-        if den <= 1e-12:
-            continue
-        cr_dst = num / den
-        if not (1e-2 < cr_dst < 1e2):
-            continue
+        along = np.sort(np.einsum("kij,kj->ki", Q, dB), axis=1)
+        num_src, den_src = _cross_ratios(P)
+        num_dst, den_dst = _cross_ratios(Q)
+        keep = (np.diff(along, axis=1).min(axis=1) >= 1e-3) & (den_dst > 1e-12)
+        cr_src, cr_dst = num_src[keep] / den_src[keep], num_dst[keep] / den_dst[keep]
+        got = np.abs(cr_src - cr_dst)[(1e-2 < cr_dst) & (cr_dst < 1e2)]
         if rejected is not None:
-            rejected.append(k)
-        return abs(cr_src - cr_dst)
-    raise SamplingExhausted(
-        f"no well-conditioned perspective configuration in {sampling._MAX_ROUNDS + 1} draws")
+            rejected.append(k - got.size)
+        return got
+
+    return sampling._collect(
+        draw, n, "too few well-conditioned perspective configurations")

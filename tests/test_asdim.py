@@ -148,8 +148,8 @@ def test_loops_are_planar():
 
 def test_redraw_budget_bounds_the_loops(unit_disk, monkeypatch):
     budget = sampling._MAX_ROUNDS
-    # seed 0's first perspective draw is ill-conditioned; a redraw fixes it
-    assert projective_transfer_defect(np.random.default_rng(0)) <= 1e-9
+    # about half of the perspective draws are ill-conditioned; redraws fill them in
+    assert projective_transfer_defect(np.random.default_rng(0), 200).max() <= 1e-9
 
     # with no redraws left the loops give up, while the sampler keeps its rounds
     real = sample_interior
@@ -162,7 +162,7 @@ def test_redraw_budget_bounds_the_loops(unit_disk, monkeypatch):
     monkeypatch.setattr("hilbertgeom.cli.sample_interior", sampler)
     monkeypatch.setattr(sampling, "_MAX_ROUNDS", 0)
     with pytest.raises(SamplingExhausted):
-        projective_transfer_defect(np.random.default_rng(0))
+        projective_transfer_defect(np.random.default_rng(0), 200)
     # about 6% of angle pairs are within 0.1 of parallel, so 200 draws hit one
     with pytest.raises(SamplingExhausted):
         concurrency_scatter_defect(unit_disk, np.random.default_rng(0), 200)

@@ -120,6 +120,11 @@ def test_flat_bound_validates_input(square):
     with pytest.raises(NotOnBoundary):
         # interior segment, not a boundary piece
         flat_boundary_ray_bound(square, (-0.5, 0.5), (0.5, 0.5), (-0.2, 0.5), (0.2, 0.5))
+    # segments from (-1, y) to (3, y), checked at 33 points: the first one off
+    # the boundary is named, inside the body at y = 0, past the corner at y = 1
+    for y, fraction in ((0.0, "0.031"), (1.0, "0.531")):
+        with pytest.raises(NotOnBoundary, match=f"at fraction {fraction} is not"):
+            flat_boundary_ray_bound(square, (-1.0, y), (3.0, y), (0.0, y), (1.0, y))
     with pytest.raises(BadOrder):
         flat_boundary_ray_bound(square, (-1, 1), (1, 1), (0.5, 1.0), (-0.5, 1.0))
     with pytest.raises(BadOrder):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertgeom import (
+    Chord,
     HalfspacePolytope,
     ball_boundary,
     boundary_hit,
@@ -29,12 +30,14 @@ from hilbertgeom import (
     ray_spec,
     sphere_points,
 )
+from hilbertgeom.bodies import TAU_PAR
 from hilbertgeom.errors import (
     BadOrder,
     DistanceMismatch,
     ExteriorPoint,
     OffChord,
 )
+from hilbertgeom.metric import projective_transfer_defect
 
 
 def klein_radial(tau: float) -> float:
@@ -295,3 +298,84 @@ def test_concurrency_rows_match_one_row_calls(any_body):
         assert got.defect[k] == pytest.approx(rep.defect[0], abs=1e-12)
         assert got.min_cross[k] == pytest.approx(rep.min_cross[0], abs=1e-12)
     assert np.isnan(got.defect[2]) and np.isnan(got.meeting[2]).all()
+
+
+def _cross(u, v) -> float:
+    return float(u[0] * v[1] - u[1] * v[0])
+
+
+def _meet(p, u, q, v):
+    """Intersection of the lines p + s u and q + s v, or None when (anti)parallel."""
+    den = _cross(u, v)
+    if abs(den) < TAU_PAR:
+        return None
+    return p + _cross(q - p, v) / den * u
+
+
+def _one_perspective(pA, dA, pB, dB, ts, concurrent, c, v):
+    """Defect of one perspective configuration, or None when a condition drops it."""
+    if np.min(np.diff(ts)) < 0.2:
+        return None
+    P = pA + ts[:, None] * dA
+    if concurrent:
+        rays = P - c
+        norms = np.linalg.norm(rays, axis=1)
+        if np.min(norms) < 0.5:
+            return None
+        lines = [(c, r / nr) for r, nr in zip(rays, norms)]
+        if min(abs(_cross(u, dB)) for _, u in lines) < 0.1:
+            return None
+    else:
+        if abs(_cross(v, dB)) < 0.1 or abs(_cross(v, dA)) < 0.1:
+            return None
+        lines = [(p, v) for p in P]
+    Q = [_meet(s, u, pB, dB) for s, u in lines]
+    if any(q is None for q in Q):
+        return None
+    q = np.array(Q)
+    if np.min(np.diff(np.sort(q @ dB))) < 1e-3:
+        return None
+    den = np.linalg.norm(q[1] - q[0]) * np.linalg.norm(q[2] - q[3])
+    if den <= 1e-12:
+        return None
+    cr_dst = np.linalg.norm(q[1] - q[3]) * np.linalg.norm(q[2] - q[0]) / den
+    if not 1e-2 < cr_dst < 1e2:
+        return None
+    return abs(cross_ratio(P[1], P[2], Chord(tail=P[0], head=P[3])) - cr_dst)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_perspective_rows_match_a_scalar_replay(seed):
+    # replay each round's arrays and measure every configuration on its own
+    n = 200
+    got_rejected = []
+    rng = np.random.default_rng([seed, 6])
+    got = projective_transfer_defect(rng, n, got_rejected)
+
+    def unit(k):
+        V = replay.normal(size=(k, 2))
+        return V / np.linalg.norm(V, axis=1)[:, None]
+
+    replay = np.random.default_rng([seed, 6])
+    want, rejected = [], []
+    while len(want) < n:
+        k = n - len(want)
+        pA, dA = replay.uniform(-1.0, 1.0, (k, 2)), unit(k)
+        pB = replay.uniform(-1.0, 1.0, (k, 2)) + replay.normal(size=(k, 2)) * 2.0
+        dB = unit(k)
+        ts = np.sort(replay.uniform(-3.0, 3.0, (k, 4)), axis=1)
+        concurrent = replay.uniform(size=k) < 0.5
+        C = replay.uniform(-6.0, 6.0, (k, 2))
+        V = unit(k)
+        kept = [d for d in map(_one_perspective, pA, dA, pB, dB, ts, concurrent, C, V)
+                if d is not None]
+        rejected.append(k - len(kept))
+        want += kept
+    assert rejected == got_rejected and len(got) == n
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    assert rng.random() == replay.random()
+
+
+def test_perspective_row_passes_at_seeds_0_to_199():
+    for seed in range(200):
+        assert projective_transfer_defect(np.random.default_rng([seed, 6]), 200).max() <= 1e-9
