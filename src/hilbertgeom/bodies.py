@@ -60,6 +60,7 @@ from .errors import (
     ExteriorBase,
     ExteriorPoint,
     NonConvex,
+    NotOnBoundary,
     SimplexExhausted,
     Unbounded,
 )
@@ -108,6 +109,12 @@ def as_direction(u: Sequence[float] | np.ndarray, dim: int | None = None) -> np.
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _angle_rows(thetas) -> np.ndarray:
+    """Planar unit rows (cos theta, sin theta), one per angle."""
+    thetas = np.asarray(thetas, dtype=float)
+    return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
 
 
 class ConvexBody(ABC):
@@ -183,8 +190,7 @@ class ConvexBody(ABC):
         if self.dimension != 2:
             raise DimensionUnsupported("outline is only defined in the plane")
         seed = self.interior_seed()
-        theta = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-        U = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+        U = _angle_rows(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         P = np.broadcast_to(seed, U.shape)
         s = self.ray_exit(P, U)[1]
         return P + s[:, None] * U
@@ -611,8 +617,8 @@ class HalfspacePolytope(ConvexBody):
     and an optimal r at or below 1e-12 times the largest offset (at least
     1e-12) raises EmptyInterior.  The covering box takes one LP per axis
     direction, each from the seed; an unbounded support raises Unbounded,
-    and an LP past its pass cap raises SimplexExhausted.  The boundary oracle is the closed-form constraint-slack exit shared with
-    ``Polygon``.
+    and an LP past its pass cap raises SimplexExhausted.  The boundary
+    oracle is the closed-form constraint-slack exit shared with ``Polygon``.
     """
 
     kind = "polytope"
@@ -768,6 +774,31 @@ def chord_through(body: ConvexBody, x: Sequence[float], y: Sequence[float]) -> C
 def is_strictly_convex(body: ConvexBody) -> bool:
     """Whether the boundary contains no straight segment."""
     return body.strictly_convex
+
+
+def flat_segment(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
+    """Ends of a straight boundary segment of a polygon or halfspace intersection.
+
+    The ball about the interior seed whose radius is the least slack s_i
+    touches face i at ``p = seed + s_i n_i``, where every other row has
+    positive slack.  The segment runs through p along the coordinate axis
+    least aligned with n_i, projected into the face, and the other rows clip
+    it in closed form; in 2-D it is the whole edge.
+    """
+    if body.strictly_convex:
+        raise NotOnBoundary("a strictly convex boundary holds no straight segment")
+    N, b, seed = body._normals, body._offsets, body.interior_seed()
+    s = b - N @ seed
+    i = int(np.argmin(s))
+    p = seed + s[i] * N[i]
+    j = int(np.argmin(np.abs(N[i])))
+    d = np.eye(body.dimension)[j] - N[i, j] * N[i]
+    d /= np.linalg.norm(d)
+    rate, slack = N @ d, b - N @ p
+    rate[i] = 0.0  # d runs along face i, on which p lies
+    ahead, behind = rate > TAU_PAR, rate < -TAU_PAR
+    return (p + np.max(slack[behind] / rate[behind]) * d,
+            p + np.min(slack[ahead] / rate[ahead]) * d)
 
 
 def _field(spec: dict, name: str, scalar: bool = False):

@@ -31,9 +31,10 @@ from .bodies import (
     TAU_P,
     TAU_PAR,
     ConvexBody,
-    Polygon,
+    flat_segment,
     is_strictly_convex,
     load_body,
+    _angle_rows,
 )
 from .coarse import corona_probe, flat_boundary_ray_bound, greedy_packing, verify_contraction
 from .cover import (
@@ -51,7 +52,6 @@ from .cover import (
 from . import sampling
 from .errors import BadRadii, DimensionUnsupported, GeometryError
 from .metric import (
-    ball_boundary,
     concurrency_defects,
     distance,
     distance_pairs,
@@ -244,10 +244,6 @@ def _row(name: str, defect: float, tol: float, samples: int, note: str = "") -> 
     }
 
 
-def _angle_rows(thetas: np.ndarray) -> np.ndarray:
-    return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-
-
 def _planar(body: ConvexBody) -> None:
     if body.dimension != 2:
         raise DimensionUnsupported("the asdim lemmas are planar")
@@ -399,10 +395,10 @@ def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     m = 256
     for t in (0.5, 2.0):
         c = sample_interior(body, 1, rng, clearance=0.05 * body.euclidean_diameter())[0]
-        bb = ball_boundary(body, c, t, m)
-        d = distance_pairs(body, np.broadcast_to(c, bb.samples.shape), bb.samples)
+        S = sphere_points(body, c, TWO_PI * np.arange(m) / m, t)
+        d = distance_pairs(body, np.broadcast_to(c, S.shape), S)
         worst_rad = max(worst_rad, float(np.max(np.abs(d - t))))
-        e = np.roll(bb.samples, -1, axis=0) - bb.samples
+        e = np.roll(S, -1, axis=0) - S
         crosses = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
         worst_cross = max(worst_cross, float(np.max(-crosses)))
     rows.append(_row("ball_boundary_radius", worst_rad, tol, 2 * m))
@@ -460,15 +456,7 @@ def _suite_corona(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
                          samples, note=f"gaps [{gaps}]"))
         return rows
 
-    if not isinstance(body, Polygon):
-        rows.append(_row("flat_edge_ray_bound", 0.0, 0.0, 0,
-                         note="skipped: flat edge location needs explicit vertices"))
-        return rows
-
-    V = body.vertices
-    E = np.roll(V, -1, axis=0) - V
-    k = int(np.argmax(np.linalg.norm(E, axis=1)))
-    alpha, beta = V[k], V[(k + 1) % len(V)]
+    alpha, beta = flat_segment(body)
     xi = alpha + 0.25 * (beta - alpha)
     eta = alpha + 0.75 * (beta - alpha)
     bound = flat_boundary_ray_bound(body, alpha, beta, xi, eta)
@@ -487,8 +475,9 @@ def _suite_corona(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     # along the ray pair aimed at the flat edge instead; its Hilbert distance
     # stays <= bound while the Euclidean gap tends to |xi - eta| > 0.
     gap16 = float(np.linalg.norm(ray_point(ray_x, 16.0) - ray_point(ray_e, 16.0)))
-    rows.append(_row("corona_gap_persists", 0.05 - gap16, 0.0, len(ts),
-                     note=f"euclidean gap 0.05 <= {gap16:.4f} at radius 16 "
+    floor = 0.5 * float(np.linalg.norm(eta - xi))
+    rows.append(_row("corona_gap_persists", floor - gap16, 0.0, len(ts),
+                     note=f"euclidean gap {floor:.4f} <= {gap16:.4f} at radius 16 "
                           f"along rays toward the flat edge"))
     return rows
 
@@ -581,11 +570,11 @@ def cmd_dist(args) -> int:
 
 def cmd_ball(args) -> int:
     body = load_body(args.body)
-    bb = ball_boundary(body, args.center, args.t, args.n)
+    S = sphere_points(body, args.center, TWO_PI * np.arange(args.n) / args.n, args.t)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ball.svg")
     with open(path, "w") as fh:
-        fh.write(render_ball(body, bb.samples, bb.center))
+        fh.write(render_ball(body, S, args.center))
     print(path)
     return 0
 
@@ -702,8 +691,9 @@ def cmd_packing(args) -> int:
     _write_report(args, "packing.json",
                   {"R": args.R, "eps": args.eps, "trials": int(args.trials)},
                   {"packing": rep.to_dict()})
-    with open(os.path.join(args.out, "packing.svg"), "w") as fh:
-        fh.write(render_packing(body, rep.points, o))
+    if body.dimension == 2:  # the outline, and so the figure, is planar
+        with open(os.path.join(args.out, "packing.svg"), "w") as fh:
+            fh.write(render_packing(body, rep.points, o))
     print(f"count={rep.count} bound={rep.bound:.6g}")
     if rep.count > rep.bound:
         print("packing bound VIOLATED", file=sys.stderr)

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, as_point, _read_only
+from .bodies import ConvexBody, as_point, _angle_rows, _read_only
 from .errors import BadOrder, BadRadii, BallNotContained, NotOnBoundary
 from .metric import distance, distance_pairs, ray_points, sphere_points
 from .sampling import ball_candidates, sample_ball
@@ -190,14 +190,12 @@ class CoronaProbeReport:
 
 def _annulus_points(body: ConvexBody, o: np.ndarray, rho: float, samples: int, rng) -> np.ndarray:
     thetas = rng.uniform(0.0, 2.0 * math.pi, samples)
-    ts = rng.uniform(rho, rho + 1.0, samples)
-    return sphere_points(body, o, thetas, ts)
+    return sphere_points(body, o, thetas, rng.uniform(rho, rho + 1.0, samples))
 
 
 def _hilbert_steps(body: ConvexBody, X: np.ndarray, steps: np.ndarray, rng) -> np.ndarray:
     """Move each row of X a given Hilbert distance in a fresh random direction."""
-    phis = rng.uniform(0.0, 2.0 * math.pi, X.shape[0])
-    U = np.stack([np.cos(phis), np.sin(phis)], axis=1)
+    U = _angle_rows(rng.uniform(0.0, 2.0 * math.pi, X.shape[0]))
     return ray_points(body, X, U, steps)
 
 
@@ -256,19 +254,18 @@ def flat_boundary_ray_bound(body: ConvexBody, alpha, beta, xi, eta) -> float:
     length = float(np.linalg.norm(axis))
     e = axis / length
     tol = 1e-9 * max(1.0, length)
-    tx = float(np.dot(as_point(xi) - a, e))
-    ty = float(np.dot(as_point(eta) - a, e))
-    off_x = float(np.linalg.norm(as_point(xi) - (a + tx * e)))
-    off_y = float(np.linalg.norm(as_point(eta) - (a + ty * e)))
+    x, y = as_point(xi), as_point(eta)
+    tx = float(np.dot(x - a, e))
+    ty = float(np.dot(y - a, e))
+    off_x = float(np.linalg.norm(x - (a + tx * e)))
+    off_y = float(np.linalg.norm(y - (a + ty * e)))
     if max(off_x, off_y) > tol:
         raise BadOrder("xi and eta must lie on the segment")
     if not (0.0 + tol < tx < ty - tol < length - tol):
         raise BadOrder("need alpha, xi, eta, beta strictly ordered along the segment")
 
-    xi_p = as_point(xi)
-    eta_p = as_point(eta)
-    num = float(np.linalg.norm(xi_p - b) * np.linalg.norm(eta_p - a))
-    den = float(np.linalg.norm(xi_p - a) * np.linalg.norm(eta_p - b))
+    num = float(np.linalg.norm(x - b) * np.linalg.norm(y - a))
+    den = float(np.linalg.norm(x - a) * np.linalg.norm(y - b))
     return math.log(num / den)
 
 
@@ -292,7 +289,4 @@ def higson_defect(
     X = _annulus_points(body, po, float(rho), samples, rng)
     steps = rng.uniform(0.0, C, samples) if C > 0 else np.zeros(samples)
     Y = _hilbert_steps(body, X, steps, rng)
-    worst = 0.0
-    for x, y in zip(X, Y):
-        worst = max(worst, abs(float(f(x)) - float(f(y))))
-    return worst
+    return max([0.0] + [abs(float(f(x)) - float(f(y))) for x, y in zip(X, Y)])

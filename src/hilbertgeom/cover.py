@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import SLACK_BLOCK, ConvexBody, Region, as_point, classify, _read_only
+from .bodies import SLACK_BLOCK, ConvexBody, Region, as_point, classify, _angle_rows, _read_only
 from .errors import (
     ArcMarchExhausted,
     ArcReachViolation,
@@ -86,8 +86,7 @@ class SphereField:
     def exits(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backward and forward exit lengths (a, b) of the rays at angles
         thetas, and the unit rows U of those rays."""
-        thetas = np.asarray(thetas, dtype=float)
-        U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+        U = _angle_rows(thetas)
         a, b = self.body.ray_exit(np.broadcast_to(self.o, U.shape), U)
         return a, b, U
 

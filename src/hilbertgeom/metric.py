@@ -32,6 +32,7 @@ from .bodies import (
     as_point,
     chord_through,
     classify,
+    _angle_rows,
     _cross2,
     _read_only,
 )
@@ -166,29 +167,8 @@ def ray_point(ray: RaySpec, t: float) -> np.ndarray:
 
 def sphere_points(body: ConvexBody, o, thetas: np.ndarray, ts) -> np.ndarray:
     """Vectorized sphere sampler: rows are points at radius ts[k] (or scalar t)."""
-    o = as_point(o, 2)
-    thetas = np.asarray(thetas, dtype=float)
-    U = np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
-    return ray_points(body, np.broadcast_to(o, U.shape), U, ts)
-
-
-@dataclass(frozen=True)
-class BallBoundary:
-    """Sampled metric sphere: polyline vertices at uniform angles about the center."""
-
-    center: np.ndarray
-    radius: float
-    samples: np.ndarray
-
-
-def ball_boundary(body: ConvexBody, center, t: float, n: int) -> BallBoundary:
-    """Sample the Hilbert sphere of radius t about center at n uniform angles."""
-    if n < 3:
-        raise ValueError("need at least 3 boundary samples")
-    c = as_point(center, 2)
-    thetas = 2.0 * math.pi * np.arange(n) / n
-    pts = sphere_points(body, c, thetas, float(t))
-    return BallBoundary(_read_only(c), float(t), _read_only(pts))
+    U = _angle_rows(thetas)
+    return ray_points(body, np.broadcast_to(as_point(o, 2), U.shape), U, ts)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bodies import ConvexBody
 from .errors import SamplingExhausted
-from .metric import ball_boundary, distance_pairs
+from .metric import distance_pairs
 
 _MAX_ROUNDS = 200
 
@@ -41,9 +43,15 @@ def sample_interior(
 
 
 def ball_box(body: ConvexBody, center, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Euclidean bounding box of the metric sphere about center, sampled at 128 angles."""
-    bb = ball_boundary(body, center, t, 128)
-    return bb.samples.min(axis=0), bb.samples.max(axis=0)
+    """Covering box of the metric ball B(center, t) from the body's own box:
+    on a chord with exits a behind c and b ahead, d(c, c + s u) <= t gives
+    s <= b (1 - e^-t) and s <= a (e^t - 1), so B(c, t) lies in both
+    c + (1 - e^-t)(body - c) and c - (e^t - 1)(body - c)."""
+    c = np.asarray(center, dtype=float)
+    lo, hi = body.bounding_box()
+    f, g = -math.expm1(-t), math.expm1(t)
+    return (np.maximum(c + f * (lo - c), c - g * (hi - c)),
+            np.minimum(c + f * (hi - c), c - g * (lo - c)))
 
 
 def ball_candidates(
@@ -56,16 +64,13 @@ def ball_candidates(
     """Box-rejection draw: `attempts` box samples filtered to the metric ball.
 
     The returned count is random; it is the accepted subset of exactly
-    ``attempts`` uniform draws from the bounding box of the ball boundary.
+    ``attempts`` uniform draws from ``ball_box``.
     """
     c = np.asarray(center, dtype=float)
     lo, hi = ball_box(body, c, t)
     cand = rng.uniform(lo, hi, size=(int(attempts), body.dimension))
-    keep = body.signed_gap(cand) < -body.boundary_tol()
-    cand = cand[keep]
-    C = np.broadcast_to(c, cand.shape)
-    keep2 = distance_pairs(body, C, cand) <= t
-    return cand[keep2]
+    cand = cand[body.signed_gap(cand) < -body.boundary_tol()]
+    return cand[distance_pairs(body, np.broadcast_to(c, cand.shape), cand) <= t]
 
 
 def sample_ball(

@@ -16,7 +16,6 @@ from hilbertgeom import (
     Disk,
     Ellipsoid,
     Polygon,
-    ball_boundary,
     build_cover,
     contraction_constant,
     corona_probe,
@@ -31,6 +30,7 @@ from hilbertgeom import (
     ray_point,
     ray_spec,
     refine_to_depth,
+    sphere_points,
     verify_contraction,
 )
 from hilbertgeom.cli import (
@@ -129,7 +129,7 @@ def test_criterion_2_ball_convexity():
     worst_cross = -np.inf
     for name, body in four_bodies():
         for t in (0.5, 2.0):
-            P = ball_boundary(body, body.interior_seed(), t, 256).samples
+            P = sphere_points(body, body.interior_seed(), 2.0 * math.pi * np.arange(256) / 256, t)
             e = np.roll(P, -1, axis=0) - P
             f = np.roll(e, -1, axis=0)
             cr = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]

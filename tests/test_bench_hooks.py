@@ -48,8 +48,8 @@ print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) =
 """
 
 # Every suite at a small sample count on three bench bodies, plus the
-# coarse suite on the halfspace square; every verify-suites name must
-# record calls on it.
+# coarse and corona suites the benchmark times on the halfspace square;
+# every verify-suites name must record calls on it.
 VERIFY_RUN = """
 import io, json, sys, tempfile
 from contextlib import redirect_stdout
@@ -57,7 +57,8 @@ import perlayer, tracer
 t = tracer.Tracer()
 t.install()
 from hilbertgeom import cli
-runs = [(b, "all") for b in ("disk", "ellipse", "square")] + [("square_halfspaces", "coarse")]
+runs = [(b, "all") for b in ("disk", "ellipse", "square")] + [
+    ("square_halfspaces", "coarse"), ("square_halfspaces", "corona")]
 codes = []
 t.enabled = True
 with tempfile.TemporaryDirectory() as out, redirect_stdout(io.StringIO()):
@@ -72,8 +73,8 @@ print(json.dumps({"codes": codes, "need": need,
 """
 
 # Small calls of every batch-kernels operation on the bench bodies, with
-# packing and contraction on the planar ones only (3-D ball sampling is a
-# documented limit); every batch-kernels name must record calls on it.
+# the corona probe on the planar ones only (it draws planar directions);
+# every batch-kernels name must record calls on it.
 KERNEL_RUN = """
 import json
 import numpy as np
@@ -89,9 +90,9 @@ for k, b in enumerate(("disk", "ellipse", "square", "gon64", "square_halfspaces"
     rng = np.random.default_rng(k)
     X, Y = hg.sample_interior(body, 200, rng), hg.sample_interior(body, 200, rng)
     hg.distance_pairs(body, X, Y)
+    hg.greedy_packing(body, o, 2.0, 0.25, 500, 0)
+    hg.verify_contraction(body, o, 2.0, o, 1.0, 500, 0)
     if body.dimension == 2:
-        hg.greedy_packing(body, o, 2.0, 0.25, 500, 0)
-        hg.verify_contraction(body, o, 2.0, o, 1.0, 500, 0)
         hg.corona_probe(body, o, 0.05, 1.0, (2.0, 4.0), 500, 0)
 t.enabled = False
 table = tracer.SpanTable(t)
@@ -127,7 +128,7 @@ def test_cover_pipeline_calls_every_traced_name():
 
 def test_verify_suites_call_every_traced_name():
     got = _run(VERIFY_RUN)
-    assert got["codes"] == [0, 0, 0, 0]
+    assert got["codes"] == [0, 0, 0, 0, 0]
     for name in ("cli.concurrency_scatter_defect", "metric.distance",
                  "bodies.chord_through", "metric.ray_spec"):
         assert name in got["need"]

@@ -30,6 +30,7 @@ from hilbertgeom.errors import (
     ExteriorBase,
     ExteriorPoint,
     NonConvex,
+    NotOnBoundary,
     Unbounded,
 )
 
@@ -514,6 +515,34 @@ def test_ray_exit_rejects_an_exterior_row_on_either_side(bench_body, toward):
         for V in (U, -U):
             with pytest.raises(ExteriorBase):
                 bench_body.ray_exit(P, V)
+
+
+# -- flat boundary segments ----------------------------------------------------
+
+
+def test_flat_segment_on_the_square_is_its_first_edge(square):
+    # the corona suite's polygon edge before flat_segment: the longest, first on ties
+    alpha, beta = bodies.flat_segment(square)
+    assert alpha.tolist() == [-1.0, -1.0] and beta.tolist() == [1.0, -1.0]
+
+
+def test_flat_segment_on_the_cube_spans_a_face():
+    cube = HalfspacePolytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    alpha, beta = bodies.flat_segment(cube)
+    assert np.linalg.norm(beta - alpha) == pytest.approx(2.0, abs=1e-12)
+
+
+def test_flat_segment_lies_on_the_boundary(constraint_body):
+    alpha, beta = bodies.flat_segment(constraint_body)
+    assert np.linalg.norm(beta - alpha) > 1e-3 * constraint_body.euclidean_diameter()
+    lam = np.linspace(0.0, 1.0, 33)[:, None]
+    assert np.all(constraint_body.classify_many(alpha + lam * (beta - alpha)) == 0)
+
+
+def test_flat_segment_needs_a_flat_face(unit_disk, ellipse21):
+    for body in (unit_disk, ellipse21):
+        with pytest.raises(NotOnBoundary):
+            bodies.flat_segment(body)
 
 
 # -- the Cayley-Klein pair kernel of disks and ellipsoids -----------------------

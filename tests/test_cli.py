@@ -33,6 +33,15 @@ def square_halfspaces_json(tmp_path):
     return str(p)
 
 
+@pytest.fixture
+def cube_halfspaces_json(tmp_path):
+    p = tmp_path / "cube_halfspaces.json"
+    normals = np.vstack([np.eye(3), -np.eye(3)]).tolist()
+    halves = [{"normal": n, "offset": 1.0} for n in normals]
+    p.write_text(json.dumps({"type": "polytope", "halfspaces": halves}) + "\n")
+    return str(p)
+
+
 def test_dist_prints_twelve_decimals(disk_json, capsys):
     code = main(["dist", "--body", disk_json, "--x", "0,0", "--y", "0.5,0"])
     assert code == 0
@@ -389,6 +398,19 @@ def test_packing_report_and_svg(disk_json, tmp_path, capsys):
     assert (out / "packing.svg").exists()
 
 
+def test_packing_runs_in_3d_without_a_figure(cube_halfspaces_json, tmp_path, capsys):
+    p = tmp_path / "ellipsoid3.json"
+    p.write_text('{"type": "ellipse", "center": [0, 0, 0], "semi_axes": [2.0, 1.0, 0.5]}')
+    for k, body_json in enumerate((str(p), cube_halfspaces_json)):
+        out = tmp_path / f"pk{k}"
+        assert main(["packing", "--body", body_json, "--trials", "500", "--out", str(out)]) == 0
+        capsys.readouterr()
+        rep = json.loads((out / "packing.json").read_text())["packing"]
+        assert 2 <= rep["count"] <= rep["bound"]
+        assert all(len(q) == 3 for q in rep["points"])
+        assert not (out / "packing.svg").exists()
+
+
 def test_packing_prints_a_short_bound(disk_json, tmp_path, capsys):
     # the counting bound at R=175 is about 3.4e305; the JSON keeps the float
     out = tmp_path / "pk"
@@ -440,17 +462,38 @@ def test_verify_corona_on_a_strictly_convex_body(disk_json, tmp_path, capsys):
     assert gap["note"].startswith("gaps [") and gap["note"].count(",") == 3
 
 
-def test_verify_corona_skips_the_flat_edge_of_a_halfspace_body(square_halfspaces_json,
-                                                               tmp_path, capsys):
-    assert main(["verify", "--body", square_halfspaces_json, "--suite", "corona",
-                 "--samples", "20", "--out", str(tmp_path)]) == 0
+def _corona_rows(body_json, out, capsys):
+    assert main(["verify", "--body", body_json, "--suite", "corona", "--samples", "20",
+                 "--out", str(out)]) == 0
     capsys.readouterr()
-    rows = json.loads((tmp_path / "verify_corona.json").read_text())["rows"]
-    assert [(r["name"], r["note"]) for r in rows] == [
-        ("strictly_convex", "false"),
-        ("flat_edge_ray_bound", "skipped: flat edge location needs explicit vertices"),
-    ]
-    assert rows[1]["passed"] and rows[1]["samples"] == 0
+    return json.loads((out / "verify_corona.json").read_text())["rows"]
+
+
+def test_verify_corona_writes_both_flat_rows_on_halfspace_bodies(
+        square_halfspaces_json, cube_halfspaces_json, tmp_path, capsys):
+    for body_json in (square_halfspaces_json, cube_halfspaces_json):
+        rows = _corona_rows(body_json, tmp_path / "out", capsys)
+        assert [(r["name"], r["passed"]) for r in rows] == [
+            ("strictly_convex", True), ("flat_edge_ray_bound", True),
+            ("corona_gap_persists", True)]
+        assert rows[0]["note"] == "false"
+        # the face nearest the seed is 2 wide and xi, eta are its quarter points
+        assert rows[1]["note"] == f"bound={math.log(9.0):.9f}"
+        assert rows[2]["note"].startswith("euclidean gap 0.5000 <= 1.0000 at radius 16")
+
+
+def test_verify_corona_gap_floor_scales_with_the_edge(tmp_path, capsys):
+    # a regular 64-gon's edge is 0.098 long: its quarter points are 0.049
+    # apart, under an absolute floor of 0.05 however long the rays run
+    a = 2.0 * np.pi * np.arange(64) / 64
+    p = tmp_path / "gon64.json"
+    p.write_text(json.dumps({"type": "polygon", "vertices": np.c_[np.cos(a), np.sin(a)].tolist()}))
+    gap = _corona_rows(str(p), tmp_path / "out", capsys)[2]
+    assert gap["name"] == "corona_gap_persists" and gap["passed"]
+    floor, got = (float(w) for w in gap["note"].split()[2:5:2])
+    edge = 2.0 * math.sin(math.pi / 64)
+    assert floor == pytest.approx(0.5 * (0.5 * edge), abs=1e-4)
+    assert gap["defect"] == pytest.approx(floor - got, abs=1e-4) and got > floor
 
 
 def test_log_env_var_enables_info_lines(square_json, tmp_path, capsys, monkeypatch):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from hilbertgeom import (
     Chord,
     HalfspacePolytope,
-    ball_boundary,
     boundary_hit,
     boundary_hit_bisect,
     chord_through,
@@ -231,17 +230,19 @@ def test_cross_ratio_rejects_bad_input(unit_disk):
         cross_ratio((0.5, 0.0), (0.0, 0.0), ch)
 
 
+def _uniform_angles(n):
+    return 2.0 * math.pi * np.arange(n) / n
+
+
 def test_ball_boundary_sits_at_radius(any_body):
     o = any_body.interior_seed()
-    bb = ball_boundary(any_body, o, 1.5, 64)
-    for p in bb.samples:
+    for p in sphere_points(any_body, o, _uniform_angles(64), 1.5):
         assert distance(any_body, o, p) == pytest.approx(1.5, abs=1e-9)
 
 
 def test_ball_boundary_is_euclidean_convex(unit_disk, square):
     for body in (unit_disk, square):
-        bb = ball_boundary(body, body.interior_seed(), 2.0, 128)
-        P = bb.samples
+        P = sphere_points(body, body.interior_seed(), _uniform_angles(128), 2.0)
         e = np.roll(P, -1, axis=0) - P
         f = np.roll(e, -1, axis=0)
         cr = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]

@@ -1,9 +1,19 @@
 """Rejection samplers: exhaustion is a typed precondition failure."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from hilbertgeom import Polygon, sample_ball, sample_interior, sampling
+from hilbertgeom import (
+    Polygon,
+    load_body,
+    ray_points,
+    sample_ball,
+    sample_interior,
+    sampling,
+    sphere_points,
+)
 from hilbertgeom.errors import GeometryError, SamplingExhausted
 
 # 2 x 0.01 rectangle: no point clears 0.1 of the boundary
@@ -74,3 +84,37 @@ def test_sample_interior_draws_max_2n_64_candidates_per_round(heptagon):
         sample_interior(body, 1, rng, clearance=0.1)
     ref.uniform(size=((sampling._MAX_ROUNDS + 1) * 64, 2))
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+BODY_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
+
+
+@pytest.fixture(params=["unit_disk", "ellipse21", "square", "heptagon", "square_polytope",
+                        "heptagon.json", "ellipsoid3.json", "cube_halfspaces.json"])
+def boxed_body(request):
+    if request.param.endswith(".json"):
+        return load_body(str(BODY_DIR / request.param))
+    return request.getfixturevalue(request.param)
+
+
+def _dense_sphere(body, c, t, m, rng):
+    """m points of the metric sphere S(c, t): uniform angles in the plane,
+    normalised Gaussian directions otherwise."""
+    if body.dimension == 2:
+        return sphere_points(body, c, 2.0 * np.pi * np.arange(m) / m, t)
+    U = rng.normal(size=(m, body.dimension))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    return ray_points(body, np.broadcast_to(c, U.shape), U, t)
+
+
+def test_ball_box_holds_the_whole_ball(boxed_body):
+    # the ball is the convex hull of its sphere, so holding a dense sphere
+    # sample holds the ball; sampled boxes cut off the ball's tips
+    rng = np.random.default_rng(5)
+    tol = 1e-12 * boxed_body.euclidean_diameter()
+    centres = np.vstack([boxed_body.interior_seed(), sample_interior(boxed_body, 5, rng)])
+    for c in centres:
+        for t in (0.5, 1.0, 2.0, 3.0):
+            lo, hi = sampling.ball_box(boxed_body, c, t)
+            S = _dense_sphere(boxed_body, c, t, 20_000, rng)
+            assert np.all(S >= lo - tol) and np.all(S <= hi + tol), (c, t)
