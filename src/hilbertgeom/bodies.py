@@ -801,6 +801,35 @@ def flat_segment(body: ConvexBody) -> tuple[np.ndarray, np.ndarray]:
             p + np.min(slack[ahead] / rate[ahead]) * d)
 
 
+def projective_image(body: ConvexBody, T: np.ndarray) -> ConvexBody:
+    """Image of the body under ``x -> (A x + t) / (w . x + s)``, where T is
+    the (n+1) x (n+1) matrix ``[[A, t], [w, s]]`` and ``w . x + s > 0`` on
+    the closed body.
+
+    A constraint body's rows ``[N | -b]`` map to ``[N | -b] T^-1``, a
+    halfspace intersection.  A quadric ``|M (x - c)| < 1`` has the
+    homogeneous matrix ``Q = B^T diag(1, .., 1, -1) B`` with
+    ``B = [[M, -M c], [0, 1]]``, which maps to ``T^-T Q T^-1``; its
+    ellipsoid comes from ``eigh``.  A map that sends a point of the body to
+    infinity raises Unbounded.
+    """
+    n = body.dimension
+    Ti = np.linalg.inv(np.asarray(T, dtype=float))
+    if not body.strictly_convex:
+        R = np.c_[body._normals, -body._offsets] @ Ti
+        return HalfspacePolytope(R[:, :n], -R[:, n])
+    B = np.eye(n + 1)
+    B[:n, :n] = body._to_unit
+    B[:n, n] = -body._to_unit @ body.center
+    Q = Ti.T @ (B.T * np.r_[np.ones(n), -1.0]) @ B @ Ti
+    P, q = Q[:n, :n], Q[:n, n]
+    c = -np.linalg.solve(P, q)
+    lam, V = np.linalg.eigh(P / -(q @ c + Q[n, n]))
+    if not (lam > 0.0).all():
+        raise Unbounded("the map sends a point of the body to infinity")
+    return Ellipsoid(c, 1.0 / np.sqrt(lam), V)
+
+
 def _field(spec: dict, name: str, scalar: bool = False):
     """Field ``name`` of a body description: a number, or unless ``scalar`` a
     nested list of numbers.  ValueError names a missing or ill-typed field."""

@@ -35,6 +35,7 @@ from .bodies import (
     is_strictly_convex,
     load_body,
     _angle_rows,
+    _cross2,
 )
 from .coarse import corona_probe, flat_boundary_ray_bound, greedy_packing, verify_contraction
 from .cover import (
@@ -399,16 +400,13 @@ def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
         d = distance_pairs(body, np.broadcast_to(c, S.shape), S)
         worst_rad = max(worst_rad, float(np.max(np.abs(d - t))))
         e = np.roll(S, -1, axis=0) - S
-        crosses = e[:, 0] * np.roll(e, -1, axis=0)[:, 1] - e[:, 1] * np.roll(e, -1, axis=0)[:, 0]
-        worst_cross = max(worst_cross, float(np.max(-crosses)))
+        worst_cross = max(worst_cross, float(np.max(-_cross2(e, np.roll(e, -1, axis=0)))))
     rows.append(_row("ball_boundary_radius", worst_rad, tol, 2 * m))
     rows.append(_row("ball_boundary_euclidean_convex", worst_cross, tol, 2 * m))
 
     rng = np.random.default_rng([seed, 6])
-    rejected: list[int] = []
-    worst = float(projective_transfer_defect(rng, n, rejected).max())
-    rows.append(_row("cross_ratio_projective_invariance", worst, tol, n,
-                     note=f"rejected_draws={sum(rejected)}"))
+    rows.append(_row("projective_invariance", float(projective_transfer_defect(body, rng, n).max()),
+                     tol, n))
     return rows
 
 
@@ -462,22 +460,29 @@ def _suite_corona(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     bound = flat_boundary_ray_bound(body, alpha, beta, xi, eta)
     ray_x = ray_spec(body, o, xi - o)
     ray_e = ray_spec(body, o, eta - o)
-    ts = np.linspace(0.5, 20.0, 40)
+    # The point at t on a ray aimed at the face has face slack at most
+    # s (a + b) / a e^-t, s the seed's least slack: the radii stop a factor e
+    # short of the boundary band, where the ray points stop being interior.
+    s = -float(body.signed_gap(o[None, :])[0])
+    reach = min(math.log(s * (r.a + r.b) / (r.a * body.boundary_tol())) for r in (ray_x, ray_e))
+    top = min(20.0, reach - 1.0)
+    ts = np.linspace(0.5, top, 40)
     worst = max(
         distance(body, ray_point(ray_x, float(t)), ray_point(ray_e, float(t))) for t in ts
     ) - bound
     rows.append(_row("flat_edge_ray_bound", worst, tol, len(ts),
-                     note=f"bound={bound:.9f}"))
+                     note=f"bound={bound:.9f}" + (f" up to radius {top:g}" if top < 20.0 else "")))
 
     # Isotropic direction sampling cannot witness persistence at large radii:
     # edge-parallel steps need |sin phi| below the boundary gap (~e^-t), so the
     # directions that keep the Euclidean gap open have vanishing measure.  Probe
     # along the ray pair aimed at the flat edge instead; its Hilbert distance
     # stays <= bound while the Euclidean gap tends to |xi - eta| > 0.
-    gap16 = float(np.linalg.norm(ray_point(ray_x, 16.0) - ray_point(ray_e, 16.0)))
+    t_gap = min(16.0, reach - 1.0)
+    gap = float(np.linalg.norm(ray_point(ray_x, t_gap) - ray_point(ray_e, t_gap)))
     floor = 0.5 * float(np.linalg.norm(eta - xi))
-    rows.append(_row("corona_gap_persists", floor - gap16, 0.0, len(ts),
-                     note=f"euclidean gap {floor:.4f} <= {gap16:.4f} at radius 16 "
+    rows.append(_row("corona_gap_persists", floor - gap, 0.0, len(ts),
+                     note=f"euclidean gap {floor:.4f} <= {gap:.4f} at radius {t_gap:g} "
                           f"along rays toward the flat edge"))
     return rows
 

@@ -115,7 +115,6 @@ class SphereLevel:
 class Marker:
     angle: float       # in [0, 2 pi)
     kind: str          # "X" or "Y"
-    ordinal: int       # index among markers of the same kind, by angle
 
 
 @dataclass(frozen=True)
@@ -291,13 +290,8 @@ def decompose_arc(level: SphereLevel, starts, ends, R: float) -> list[list[float
 
 
 def _assemble(level: SphereLevel, angle_kind_pairs: list[tuple[float, str]]) -> ArcDecomposition:
-    pairs = sorted(angle_kind_pairs)
-    seen: dict[str, int] = {"X": 0, "Y": 0}
-    markers = []
-    for angle, kind in pairs:
-        markers.append(Marker(angle=angle, kind=kind, ordinal=seen[kind]))
-        seen[kind] += 1
-    return ArcDecomposition(level=level, markers=tuple(markers))
+    markers = tuple(Marker(angle=angle, kind=kind) for angle, kind in sorted(angle_kind_pairs))
+    return ArcDecomposition(level=level, markers=markers)
 
 
 def initial_decomposition(body: ConvexBody, o, R: float) -> ArcDecomposition:

@@ -32,6 +32,7 @@ from .bodies import (
     as_point,
     chord_through,
     classify,
+    projective_image,
     _angle_rows,
     _cross2,
     _read_only,
@@ -267,65 +268,29 @@ def _unit_rows(V: np.ndarray) -> np.ndarray:
     return V / np.linalg.norm(V, axis=1)[:, None]
 
 
-def _cross_ratios(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Numerator and denominator of the cross ratio of (tail, x, y, head) for
-    each row of the (m, 4, 2) array X; see ``cross_ratio``."""
-    def gap(i, j):
-        return np.linalg.norm(X[:, i] - X[:, j], axis=1)
+def projective_transfer_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
+    """|d_{T K}(Tx, Ty) - d_K(x, y)| on n pairs of the body K under one random
+    projective map T.
 
-    return gap(1, 3) * gap(2, 0), gap(1, 0) * gap(2, 3)
-
-
-def projective_transfer_defect(
-    rng: np.random.Generator, n: int, rejected: list[int] | None = None
-) -> np.ndarray:
-    """Cross-ratio disagreement of n random perspective configurations.
-
-    Each configuration maps four ordered points on a source line to a target
-    line, through a random center for half the draws and along a random
-    parallel direction for the rest.  A perspective map preserves the
-    cross-ratio, so each |source cr - target cr| measures only numerical
-    error.  Ill-conditioned draws (source points closer than 0.2 or images
-    closer than 1e-3, grazing projections, huge cross-ratios) are dropped.
-    Each round draws every missing configuration as arrays and appends its
-    number of dropped draws to ``rejected`` when it is given;
-    ``sampling._collect`` bounds the rounds.
+    T is ``x -> (A x + t) / (w . x + 1)``: A is the Q of a Gaussian's QR with
+    its columns stretched by factors in [0.5, 2], so cond(A) <= 4;
+    t = 0.3 scale N(0, 1); and w is uniform in +-0.5 / (dim scale), where scale
+    is the largest |coordinate| of the body's box, so ``w . x + 1 >= 1/2`` on
+    the box.  The Hilbert metric is projectively invariant, so each defect
+    measures only numerical error.  x and y keep a clearance of 0.05 times
+    the body's diameter.
     """
     from . import sampling  # sampling imports this module, so bind it late
 
-    def draw(k):
-        pA, dA = rng.uniform(-1.0, 1.0, (k, 2)), _unit_rows(rng.normal(size=(k, 2)))
-        pB = rng.uniform(-1.0, 1.0, (k, 2)) + rng.normal(size=(k, 2)) * 2.0
-        dB = _unit_rows(rng.normal(size=(k, 2)))
-        ts = np.sort(rng.uniform(-3.0, 3.0, (k, 4)), axis=1)
-        concurrent = rng.uniform(size=k) < 0.5
-        C = rng.uniform(-6.0, 6.0, (k, 2))
-        V = _unit_rows(rng.normal(size=(k, 2)))
-
-        # the four projection lines of a row run through its center along the
-        # rays to the source points, or through the source points along V
-        P = pA[:, None] + ts[..., None] * dA[:, None]
-        rays = P - C[:, None]
-        norms = np.linalg.norm(rays, axis=2)
-        U = np.where(concurrent[:, None, None], rays / norms[..., None], V[:, None])
-        S = np.where(concurrent[:, None, None], C[:, None], P)
-        den = _cross2(U, dB[:, None])
-        cross = np.abs(den).min(axis=1)  # no (anti)parallel or grazing projection line
-        ok = (np.diff(ts, axis=1).min(axis=1) >= 0.2) & (cross >= TAU_PAR) & (cross >= 0.1)
-        ok &= np.where(concurrent, norms.min(axis=1) >= 0.5, np.abs(_cross2(V, dA)) >= 0.1)
-        P, S, U, den, pB, dB = P[ok], S[ok], U[ok], den[ok], pB[ok], dB[ok]
-        Q = S + (_cross2(pB[:, None] - S, dB[:, None]) / den)[..., None] * U
-        # the images need a spacing floor as the source points do: images
-        # a few 1e-6 apart carry float64 rounding past the 1e-9 tolerance
-        along = np.sort(np.einsum("kij,kj->ki", Q, dB), axis=1)
-        num_src, den_src = _cross_ratios(P)
-        num_dst, den_dst = _cross_ratios(Q)
-        keep = (np.diff(along, axis=1).min(axis=1) >= 1e-3) & (den_dst > 1e-12)
-        cr_src, cr_dst = num_src[keep] / den_src[keep], num_dst[keep] / den_dst[keep]
-        got = np.abs(cr_src - cr_dst)[(1e-2 < cr_dst) & (cr_dst < 1e2)]
-        if rejected is not None:
-            rejected.append(k - got.size)
-        return got
-
-    return sampling._collect(
-        draw, n, "too few well-conditioned perspective configurations")
+    dim = body.dimension
+    scale = float(np.abs(np.concatenate(body.bounding_box())).max())
+    T = np.eye(dim + 1)
+    T[:dim, :dim] = np.linalg.qr(rng.normal(size=(dim, dim)))[0] * rng.uniform(0.5, 2.0, dim)
+    T[:dim, dim] = 0.3 * scale * rng.normal(size=dim)
+    T[dim, :dim] = rng.uniform(-0.5, 0.5, dim) / (dim * scale)
+    clearance = 0.05 * body.euclidean_diameter()
+    X = sampling.sample_interior(body, n, rng, clearance)
+    Y = sampling.sample_interior(body, n, rng, clearance)
+    H = np.vstack([X, Y]) @ T[:, :dim].T + T[:, dim]
+    TX, TY = np.split(H[:, :dim] / H[:, dim:], 2)
+    return np.abs(distance_pairs(projective_image(body, T), TX, TY) - distance_pairs(body, X, Y))

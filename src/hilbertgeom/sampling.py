@@ -64,9 +64,11 @@ def ball_candidates(
     """Box-rejection draw: `attempts` box samples filtered to the metric ball.
 
     The returned count is random; it is the accepted subset of exactly
-    ``attempts`` uniform draws from ``ball_box``.
+    ``attempts`` uniform draws from ``ball_box``.  A center that does not
+    classify as interior raises ExteriorPoint before any draw.
     """
     c = np.asarray(center, dtype=float)
+    body.require_interior(c[None, :], "metric ball center must be interior")
     lo, hi = ball_box(body, c, t)
     cand = rng.uniform(lo, hi, size=(int(attempts), body.dimension))
     cand = cand[body.signed_gap(cand) < -body.boundary_tol()]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hilbertgeom import cli, metric
+from hilbertgeom.bodies import load_body
 from hilbertgeom.cli import _build_parser, main
 from hilbertgeom.svgout import fmt6, render_ball, render_cover
 
@@ -176,6 +177,14 @@ def test_packing_radius_past_float64_exits_2(disk_json, tmp_path, capsys, R):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("center", ["2,0", "1,0"])
+def test_packing_center_off_the_open_body_exits_2(disk_json, tmp_path, capsys, center):
+    assert main(["packing", "--body", disk_json, "--center", center, "--trials", "50",
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "precondition violated: ExteriorPoint" in err and "Traceback" not in err
+
+
 def test_missing_or_broken_body_exits_1(tmp_path, capsys):
     assert main(["dist", "--body", str(tmp_path / "nope.json"),
                  "--x", "0,0", "--y", "0.5,0"]) == 1
@@ -310,27 +319,20 @@ def test_verify_csv_header(disk_json, tmp_path, capsys):
     assert head == "suite,invariant,passed,defect,tolerance,samples,note"
 
 
-@pytest.mark.parametrize("seed", [295, 322, 369])
-def test_projective_invariance_holds_at_seeds_with_crowded_images(seed):
-    # Without a spacing floor on the target line, two images 3.2e-6 apart
-    # put the worst defect of the metric suite's 200 draws at 1.8e-9 to 2.6e-9
-    # when each configuration was drawn on its own.
-    rng = np.random.default_rng([seed, 6])
-    assert metric.projective_transfer_defect(rng, 200).max() <= 1e-9
-
-
-def test_verify_metric_notes_rejected_perspective_draws(disk_json, tmp_path, capsys):
-    out = tmp_path / "v"
-    assert main(["verify", "--body", disk_json, "--suite", "metric",
-                 "--seed", "295", "--out", str(out)]) == 0
-    capsys.readouterr()
-    rows = json.loads((out / "verify_metric.json").read_text())["rows"]
-    row = next(r for r in rows if r["name"] == "cross_ratio_projective_invariance")
-    rng = np.random.default_rng([295, 6])
-    rejected = []
-    assert row["defect"] == metric.projective_transfer_defect(rng, 200, rejected).max()
-    assert row["passed"] and row["note"] == f"rejected_draws={sum(rejected)}"
-    assert sum(rejected) > 0
+@pytest.mark.parametrize("seed", [0, 295])
+def test_verify_metric_projective_row_is_one_call(seed, disk_json, square_halfspaces_json,
+                                                  tmp_path, capsys):
+    for body_json in (disk_json, square_halfspaces_json):
+        out = tmp_path / "v"
+        assert main(["verify", "--body", body_json, "--suite", "metric",
+                     "--seed", str(seed), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rows = json.loads((out / "verify_metric.json").read_text())["rows"]
+        row = next(r for r in rows if r["name"] == "projective_invariance")
+        rng = np.random.default_rng([seed, 6])
+        want = metric.projective_transfer_defect(load_body(body_json), rng, 200).max()
+        assert row["defect"] == want and row["passed"]
+        assert (row["tolerance"], row["samples"], row["note"]) == (1e-9, 200, "")
 
 
 @pytest.mark.parametrize("suite", ["coarse", "all"])
@@ -480,6 +482,20 @@ def test_verify_corona_writes_both_flat_rows_on_halfspace_bodies(
         # the face nearest the seed is 2 wide and xi, eta are its quarter points
         assert rows[1]["note"] == f"bound={math.log(9.0):.9f}"
         assert rows[2]["note"].startswith("euclidean gap 0.5000 <= 1.0000 at radius 16")
+
+
+def test_verify_corona_flat_rows_stop_short_of_the_band_on_a_thin_body(tmp_path, capsys):
+    # on a 4 x 0.1 rectangle the ray points reach the boundary band before
+    # t = 20; the rows stop a factor e of face slack short of it
+    p = tmp_path / "strip.json"
+    p.write_text('{"type": "polygon", "vertices": [[-2,-0.05],[2,-0.05],[2,0.05],[-2,0.05]]}')
+    rows = _corona_rows(str(p), tmp_path / "out", capsys)
+    assert [(r["name"], r["passed"]) for r in rows] == [
+        ("strictly_convex", True), ("flat_edge_ray_bound", True), ("corona_gap_persists", True)]
+    top = float(rows[1]["note"].rsplit(" ", 1)[1])
+    assert 17.0 < top < 20.0
+    assert rows[1]["note"] == f"bound={math.log(9.0):.9f} up to radius {top:g}"
+    assert " at radius 16 " in rows[2]["note"]
 
 
 def test_verify_corona_gap_floor_scales_with_the_edge(tmp_path, capsys):

@@ -214,7 +214,7 @@ def test_admissibility_detects_a_moved_marker(unit_disk):
     decs = refine_to_depth(unit_disk, o, R, 2)
     lo, up = decs
     moved = [
-        Marker(m.angle + 1e-7, m.kind, m.ordinal) if i == 0 else m
+        Marker(m.angle + 1e-7, m.kind) if i == 0 else m
         for i, m in enumerate(up.markers)
     ]
     tampered = ArcDecomposition(up.level, tuple(sorted(moved, key=lambda m: m.angle)))
@@ -241,8 +241,8 @@ def test_decomposition_validation_rejects_bad_marker_lists(unit_disk):
         ArcDecomposition(lvl, (dec.markers[0],))  # odd total
     ms = list(dec.markers)
     ms[0], ms[1] = (
-        Marker(ms[0].angle, ms[1].kind, 0),
-        Marker(ms[1].angle, ms[1].kind, 1),
+        Marker(ms[0].angle, ms[1].kind),
+        Marker(ms[1].angle, ms[1].kind),
     )
     with pytest.raises(ValueError):
         ArcDecomposition(lvl, tuple(ms))  # two same-kind neighbours

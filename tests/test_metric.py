@@ -8,6 +8,7 @@ generic cross-ratio code has to reproduce.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilbertgeom import (
-    Chord,
+    Ellipsoid,
     HalfspacePolytope,
+    Polygon,
     boundary_hit,
     boundary_hit_bisect,
     chord_through,
@@ -24,19 +26,22 @@ from hilbertgeom import (
     cross_ratio,
     distance,
     distance_pairs,
+    metric,
     pairwise_distances,
     ray_point,
     ray_spec,
     sphere_points,
 )
-from hilbertgeom.bodies import TAU_PAR
+from hilbertgeom.bodies import load_body, projective_image
 from hilbertgeom.errors import (
     BadOrder,
     DistanceMismatch,
     ExteriorPoint,
     OffChord,
+    Unbounded,
 )
 from hilbertgeom.metric import projective_transfer_defect
+from hilbertgeom.sampling import sample_interior
 
 
 def klein_radial(tau: float) -> float:
@@ -301,82 +306,109 @@ def test_concurrency_rows_match_one_row_calls(any_body):
     assert np.isnan(got.defect[2]) and np.isnan(got.meeting[2]).all()
 
 
-def _cross(u, v) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
+BENCH_BODIES = sorted(p.stem for p in BENCH_DIR.glob("*.json"))
 
 
-def _meet(p, u, q, v):
-    """Intersection of the lines p + s u and q + s v, or None when (anti)parallel."""
-    den = _cross(u, v)
-    if abs(den) < TAU_PAR:
-        return None
-    return p + _cross(q - p, v) / den * u
+def bench_body(name):
+    return load_body(str(BENCH_DIR / f"{name}.json"))
 
 
-def _one_perspective(pA, dA, pB, dB, ts, concurrent, c, v):
-    """Defect of one perspective configuration, or None when a condition drops it."""
-    if np.min(np.diff(ts)) < 0.2:
-        return None
-    P = pA + ts[:, None] * dA
-    if concurrent:
-        rays = P - c
-        norms = np.linalg.norm(rays, axis=1)
-        if np.min(norms) < 0.5:
-            return None
-        lines = [(c, r / nr) for r, nr in zip(rays, norms)]
-        if min(abs(_cross(u, dB)) for _, u in lines) < 0.1:
-            return None
-    else:
-        if abs(_cross(v, dB)) < 0.1 or abs(_cross(v, dA)) < 0.1:
-            return None
-        lines = [(p, v) for p in P]
-    Q = [_meet(s, u, pB, dB) for s, u in lines]
-    if any(q is None for q in Q):
-        return None
-    q = np.array(Q)
-    if np.min(np.diff(np.sort(q @ dB))) < 1e-3:
-        return None
-    den = np.linalg.norm(q[1] - q[0]) * np.linalg.norm(q[2] - q[3])
-    if den <= 1e-12:
-        return None
-    cr_dst = np.linalg.norm(q[1] - q[3]) * np.linalg.norm(q[2] - q[0]) / den
-    if not 1e-2 < cr_dst < 1e2:
-        return None
-    return abs(cross_ratio(P[1], P[2], Chord(tail=P[0], head=P[3])) - cr_dst)
+def draw_map(body, rng):
+    """The projective map of ``projective_transfer_defect``, drawn the same way."""
+    n = body.dimension
+    lo, hi = body.bounding_box()
+    scale = float(np.abs(np.r_[lo, hi]).max())
+    Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    T = np.eye(n + 1)
+    T[:n, :n] = Q * rng.uniform(0.5, 2.0, n)
+    T[:n, n] = 0.3 * scale * rng.normal(size=n)
+    T[n, :n] = rng.uniform(-0.5, 0.5, n) / (n * scale)
+    return T
+
+
+def apply_map(T, p):
+    h = T @ np.append(p, 1.0)
+    return h[:-1] / h[-1]
+
+
+@pytest.mark.parametrize("name", BENCH_BODIES)
+def test_projective_image_maps_the_boundary_onto_the_boundary_band(name):
+    body = bench_body(name)
+    rng = np.random.default_rng(11)
+    o = body.interior_seed()
+    U = rng.normal(size=(64, body.dimension))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    back, fwd = body.ray_exit(o, U)
+    edge = np.vstack([o + fwd[:, None] * U, o - back[:, None] * U])
+    for _ in range(5):
+        T = draw_map(body, rng)
+        image = projective_image(body, T)
+        assert isinstance(image, Ellipsoid if body.strictly_convex else HalfspacePolytope)
+        assert (image.classify_many([apply_map(T, p) for p in edge]) == 0).all()
+        # just inside and just outside by 1e-6 of the chord stay on their sides
+        inner = o + (1.0 - 1e-6) * (edge - o)
+        outer = o + (1.0 + 1e-6) * (edge - o)
+        assert (image.classify_many([apply_map(T, p) for p in inner]) == -1).all()
+        assert (image.classify_many([apply_map(T, p) for p in outer]) == 1).all()
+
+
+@pytest.mark.parametrize("name", ["disk", "ellipsoid3", "square", "cube_halfspaces"])
+def test_projective_image_through_infinity_is_unbounded(name):
+    # w . x + 1 vanishes at x_0 = -1/2, inside every one of these bodies
+    body = bench_body(name)
+    T = np.eye(body.dimension + 1)
+    T[-1, 0] = 2.0
+    with pytest.raises(Unbounded):
+        projective_image(body, T)
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_perspective_rows_match_a_scalar_replay(seed):
-    # replay each round's arrays and measure every configuration on its own
-    n = 200
-    got_rejected = []
-    rng = np.random.default_rng([seed, 6])
-    got = projective_transfer_defect(rng, n, got_rejected)
+    # replay each body's draws and measure every pair on its own with
+    # ``distance``; a polygon's image is built again from its mapped vertices
+    n = 40
+    for name in BENCH_BODIES:
+        body = bench_body(name)
+        rng = np.random.default_rng([seed, 6])
+        got = projective_transfer_defect(body, rng, n)
 
-    def unit(k):
-        V = replay.normal(size=(k, 2))
-        return V / np.linalg.norm(V, axis=1)[:, None]
-
-    replay = np.random.default_rng([seed, 6])
-    want, rejected = [], []
-    while len(want) < n:
-        k = n - len(want)
-        pA, dA = replay.uniform(-1.0, 1.0, (k, 2)), unit(k)
-        pB = replay.uniform(-1.0, 1.0, (k, 2)) + replay.normal(size=(k, 2)) * 2.0
-        dB = unit(k)
-        ts = np.sort(replay.uniform(-3.0, 3.0, (k, 4)), axis=1)
-        concurrent = replay.uniform(size=k) < 0.5
-        C = replay.uniform(-6.0, 6.0, (k, 2))
-        V = unit(k)
-        kept = [d for d in map(_one_perspective, pA, dA, pB, dB, ts, concurrent, C, V)
-                if d is not None]
-        rejected.append(k - len(kept))
-        want += kept
-    assert rejected == got_rejected and len(got) == n
-    assert np.max(np.abs(got - np.array(want))) <= 1e-12
-    assert rng.random() == replay.random()
+        replay = np.random.default_rng([seed, 6])
+        T = draw_map(body, replay)
+        clearance = 0.05 * body.euclidean_diameter()
+        X = sample_interior(body, n, replay, clearance)
+        Y = sample_interior(body, n, replay, clearance)
+        if isinstance(body, Polygon):
+            image = Polygon([apply_map(T, v) for v in body.vertices])
+        else:
+            image = projective_image(body, T)
+        want = np.array([abs(distance(image, apply_map(T, x), apply_map(T, y)) - distance(body, x, y))
+                         for x, y in zip(X, Y)])
+        assert rng.bit_generator.state == replay.bit_generator.state, name
+        assert got.shape == (n,) and want.max() <= 1e-9, name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
 
 
 def test_perspective_row_passes_at_seeds_0_to_199():
-    for seed in range(200):
-        assert projective_transfer_defect(np.random.default_rng([seed, 6]), 200).max() <= 1e-9
+    worst = {}
+    for name in BENCH_BODIES:
+        body = bench_body(name)
+        worst[name] = max(projective_transfer_defect(body, np.random.default_rng([seed, 6]), 200).max()
+                          for seed in range(200))
+    assert max(worst.values()) <= 1e-9, worst
+    # the row reads the body: its worst defect is not one number for all
+    assert len(set(worst.values())) > 1, worst
+
+
+@pytest.mark.parametrize("name", ["disk", "square", "ellipsoid3", "cube_halfspaces"])
+def test_perspective_row_fails_a_perturbed_image(name, monkeypatch):
+    # an image whose w row is off by a relative 1e-6 is no longer T(body)
+    def perturbed(body, T):
+        T = np.array(T)
+        T[-1, :-1] *= 1.0 + 1e-6
+        return projective_image(body, T)
+
+    body = bench_body(name)
+    monkeypatch.setattr(metric, "projective_image", perturbed)
+    for seed in range(20):
+        assert projective_transfer_defect(body, np.random.default_rng([seed, 6]), 200).max() > 1e-9

@@ -14,7 +14,7 @@ from hilbertgeom import (
     sampling,
     sphere_points,
 )
-from hilbertgeom.errors import GeometryError, SamplingExhausted
+from hilbertgeom.errors import ExteriorPoint, GeometryError, SamplingExhausted
 
 # 2 x 0.01 rectangle: no point clears 0.1 of the boundary
 THIN = [(-1.0, -0.005), (1.0, -0.005), (1.0, 0.005), (-1.0, 0.005)]
@@ -33,6 +33,19 @@ def test_sample_ball_exhaustion_is_typed(unit_disk, monkeypatch):
     monkeypatch.setattr(sampling, "ball_candidates", lambda *a, **k: np.empty((0, 2)))
     with pytest.raises(SamplingExhausted):
         sample_ball(unit_disk, (0.0, 0.0), 1.0, 5, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("center", [(2.0, 0.0), (1.0, 0.0)])
+def test_ball_draws_need_an_interior_center(unit_disk, center):
+    # an exterior center gave an inverted box and numpy's "high - low < 0";
+    # a boundary center gave a ball of one point
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ExteriorPoint):
+        sampling.ball_candidates(unit_disk, center, 1.0, 100, rng)
+    with pytest.raises(ExteriorPoint):
+        sample_ball(unit_disk, center, 1.0, 5, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_samplers_fill_requests(unit_disk):
