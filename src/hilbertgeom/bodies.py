@@ -114,7 +114,72 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _angle_rows(thetas) -> np.ndarray:
     """Planar unit rows (cos theta, sin theta), one per angle."""
     thetas = np.asarray(thetas, dtype=float)
-    return np.stack([np.cos(thetas), np.sin(thetas)], axis=1)
+    U = np.empty((thetas.size, 2))
+    np.cos(thetas, out=U[:, 0])
+    np.sin(thetas, out=U[:, 1])
+    return U
+
+
+# Arithmetic on (m, n) rows with a broadcast (n,) row, and reductions along
+# a row, run numpy's inner loop over the n coordinates.  The kernels below
+# work coordinate-major instead, so the inner loop runs over the m rows, and
+# give the same bits: numpy adds fewer than _SHORT_ROW terms of a row one by
+# one, in coordinate order (np.einsum in two SIMD lanes).  Longer rows keep
+# numpy's own reductions.
+_SHORT_ROW = 8
+
+
+def _coords(P: np.ndarray, c) -> np.ndarray:
+    """Rows of the (m, n) array P minus c (one row, or as many rows as P),
+    coordinate-major: a C-ordered (n, m) array."""
+    c = np.asarray(c)
+    return np.subtract(P.T, c.T if c.ndim == 2 else c.reshape(-1, 1), order="C")
+
+
+def _sq_norms(Q: np.ndarray) -> np.ndarray:
+    """Squared lengths of the columns of a coordinate-major (n, m) array,
+    bit for bit the sums of squares ``np.linalg.norm(Q.T, axis=1)`` takes."""
+    if len(Q) >= _SHORT_ROW:
+        return np.add.reduce(np.square(Q.T.copy()), axis=1)
+    s = Q[0] * Q[0]
+    for q in Q[1:]:
+        s += q * q
+    return s
+
+
+def _norms(X: np.ndarray, Y) -> np.ndarray:
+    """``np.linalg.norm(X - Y, axis=1)`` bit for bit, for (m, n) rows X and
+    one row or as many rows Y."""
+    return np.sqrt(_sq_norms(_coords(X, Y)))
+
+
+def _dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``np.einsum("ij,ij->i", A.T, B.T)`` bit for bit, for coordinate-major
+    (n, m) arrays A and B (one column may broadcast): the even and the odd
+    coordinates are summed in order, then the two sums."""
+    if len(A) >= _SHORT_ROW:
+        return np.einsum("ij,ij->i", A.T.copy(), B.T.copy())
+    even = A[0] * B[0]
+    for j in range(2, len(A), 2):
+        even += A[j] * B[j]
+    if len(A) == 1:
+        return even
+    odd = A[1] * B[1]
+    for j in range(3, len(A), 2):
+        odd += A[j] * B[j]
+    return even + odd
+
+
+def _along(P: np.ndarray, s: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Rows ``P + s U`` for (m, n) rows P and U (one row of either may
+    broadcast), written one coordinate at a time into a C-ordered array."""
+    P, U = np.atleast_2d(P, U)
+    out = np.empty((len(s), U.shape[1]))
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        np.multiply(s, U[:, j], out=col)
+        col += P[:, j]
+    return out
 
 
 class ConvexBody(ABC):
@@ -192,8 +257,7 @@ class ConvexBody(ABC):
         seed = self.interior_seed()
         U = _angle_rows(np.linspace(0.0, 2.0 * math.pi, n, endpoint=False))
         P = np.broadcast_to(seed, U.shape)
-        s = self.ray_exit(P, U)[1]
-        return P + s[:, None] * U
+        return _along(P, self.ray_exit(P, U)[1], U)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -292,9 +356,9 @@ def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     x <-> y twin ``|delta|^2 ax + (delta . w)^2`` makes the result bit-exactly
     symmetric, because swapping X and Y negates delta exactly.
     """
-    W = M @ (X - c).T
-    V = M @ (Y - c).T
-    D = M @ (X - Y).T
+    W = M @ _coords(X, c)
+    V = M @ _coords(Y, c)
+    D = M @ _coords(X, Y)
     ax = 1.0 - np.einsum("ij,ij->j", W, W)
     ay = 1.0 - np.einsum("ij,ij->j", V, V)
     if not ((ax > 0.0).all() and (ay > 0.0).all()):
@@ -492,16 +556,13 @@ class Disk(ConvexBody):
         self._to_unit = _read_only(np.eye(c.shape[0]) / r)
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        return np.linalg.norm(P - self.center, axis=1) - self.radius
+        return _norms(np.atleast_2d(P), self.center) - self.radius
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the roots -beta -+ root of |q + s u|^2 = r^2, as lengths behind and ahead
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        q = P - self.center
-        beta = np.einsum("ij,ij->i", q, U)
-        gamma = np.einsum("ij,ij->i", q, q) - self.radius**2
+        q = _coords(np.atleast_2d(P), self.center)
+        beta = _dots(q, np.atleast_2d(U).T)
+        gamma = _dots(q, q) - self.radius**2
         disc = beta * beta - gamma
         if np.any(disc < 0.0) or np.any(gamma >= 0.0):
             raise ExteriorBase("ray base is not inside the disk")
@@ -564,15 +625,10 @@ class Ellipsoid(ConvexBody):
         # body coords -> unit-ball coords
         self._to_unit = _read_only((Q / axes[None, :]).T)
 
-    def _unit_coords(self, P: np.ndarray) -> np.ndarray:
-        return (P - self.center) @ self._to_unit.T
-
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
-        P = np.atleast_2d(P)
-        q = P - self.center
-        w = q @ self._to_unit.T
-        m = np.linalg.norm(w, axis=1)
-        r = np.linalg.norm(q, axis=1)
+        q = _coords(np.atleast_2d(P), self.center)
+        m = np.sqrt(_sq_norms(self._to_unit @ q))
+        r = np.sqrt(_sq_norms(q))
         deep = m < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = r * (m - 1.0) / m
@@ -580,13 +636,11 @@ class Ellipsoid(ConvexBody):
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the roots (-B -+ root) / A of A s^2 + 2 B s + C = 0 in unit-ball coordinates
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        w = self._unit_coords(P)
-        v = U @ self._to_unit.T
-        A = np.einsum("ij,ij->i", v, v)
-        B = np.einsum("ij,ij->i", w, v)
-        C = np.einsum("ij,ij->i", w, w) - 1.0
+        w = self._to_unit @ _coords(np.atleast_2d(P), self.center)
+        v = self._to_unit @ np.atleast_2d(U).T
+        A = _dots(v, v)
+        B = _dots(w, v)
+        C = _dots(w, w) - 1.0
         disc = B * B - A * C
         if np.any(C >= 0.0) or np.any(disc < 0.0):
             raise ExteriorBase("ray base is not inside the ellipsoid")

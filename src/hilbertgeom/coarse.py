@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bodies import ConvexBody, as_point, _angle_rows, _read_only
+from .bodies import ConvexBody, as_point, _angle_rows, _norms, _read_only
 from .errors import BadOrder, BadRadii, BallNotContained, NotOnBoundary
 from .metric import distance, distance_pairs, ray_points, sphere_points
 from .sampling import ball_candidates, sample_ball
@@ -143,7 +143,7 @@ def greedy_packing(
     last = c
     while len(pool):
         d = distance_pairs(body, np.broadcast_to(last, pool.shape), pool)
-        pool = pool[d > 2.0 * epsilon]
+        pool = np.compress(d > 2.0 * epsilon, pool, axis=0)
         if not len(pool):
             break
         last = pool[0]
@@ -223,7 +223,7 @@ def corona_probe(
         X = _annulus_points(body, po, float(rho), samples, rng)
         steps = rng.uniform(0.0, C, samples) if C > 0 else np.zeros(samples)
         Y = _hilbert_steps(body, X, steps, rng)
-        sups.append(float(np.max(np.linalg.norm(X - Y, axis=1))))
+        sups.append(float(np.max(_norms(X, Y))))
     return CoronaProbeReport(
         delta=float(delta),
         C=float(C),

@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .bodies import SLACK_BLOCK, ConvexBody, Region, as_point, classify, _angle_rows, _read_only
+from .bodies import (SLACK_BLOCK, ConvexBody, Region, as_point, classify, _along, _angle_rows,
+                     _read_only, _sq_norms)
 from .errors import (
     ArcMarchExhausted,
     ArcReachViolation,
@@ -92,7 +93,7 @@ class SphereField:
 
     def points(self, thetas: np.ndarray, ts) -> np.ndarray:
         a, b, U = self.exits(thetas)
-        return self.o + _ray_param(a, b, ts)[:, None] * U
+        return _along(self.o, _ray_param(a, b, ts), U)
 
     def dist_from(self, p: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return distance_pairs(self.body, np.broadcast_to(p, Q.shape), Q)
@@ -614,6 +615,7 @@ def multiplicity_probe(
     angles, radii = _sample_rays(starts, widths, r_in, r_out, full, PROBE_SAMPLES)
     samples = field.points(angles.ravel(), radii.ravel()).reshape(*angles.shape, 2)
     box_lo, box_hi = samples.min(axis=1), samples.max(axis=1)
+    flat_samples = samples.reshape(-1, 2)
     diameter = body.euclidean_diameter()
     # pieces grouped by band: band k holds pieces by_band[first[k]:first[k + 1]]
     bands, band_of = np.unique(np.stack([r_in, r_out], axis=1), axis=0, return_inverse=True)
@@ -636,15 +638,16 @@ def multiplicity_probe(
         ti = np.repeat(ti + c, size)
         pi = by_band[np.repeat(first[bi], size) + rank]
         inside = _in_sectors(ts[ti], thetas[ti], r_in[pi], r_out[pi], starts[pi], widths[pi], full[pi])
-        met = ti[inside]
-        ti, pi = ti[~inside], pi[~inside]
-        X = centers[ti]
-        gap = np.linalg.norm(np.maximum(np.maximum(box_lo[pi] - X, X - box_hi[pi]), 0.0), axis=1)
-        keep = 2.0 * np.log1p(gap / diameter) <= r + 1e-9
-        ti, pi = ti[keep], pi[keep]
+        met = np.compress(inside, ti)
+        ti, pi = np.compress(~inside, ti), np.compress(~inside, pi)
+        X = np.take(centers, ti, axis=0)
+        G = np.maximum(np.maximum(np.take(box_lo, pi, axis=0) - X, X - np.take(box_hi, pi, axis=0)), 0.0)
+        keep = 2.0 * np.log1p(np.sqrt(_sq_norms(G.T)) / diameter) <= r + 1e-9
+        ti, pi = np.compress(keep, ti), np.compress(keep, pi)
         k, s = np.nonzero(np.abs(ts[ti, None] - radii[pi]) <= r + 1e-9)
         near = np.zeros(ti.size, dtype=bool)
-        near[k[distance_pairs(body, centers[ti[k]], samples[pi[k], s]) <= r]] = True
+        near[k[distance_pairs(body, np.take(centers, ti[k], axis=0),
+                              np.take(flat_samples, pi[k] * samples.shape[1] + s, axis=0)) <= r]] = True
         counts[c:c + block] = np.bincount(np.concatenate([met, ti[near]]) - c, minlength=T.shape[0])
 
     hist: dict[int, int] = {}

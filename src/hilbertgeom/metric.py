@@ -17,6 +17,7 @@ where a and b are the backward and forward exit lengths of the base.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,8 +34,10 @@ from .bodies import (
     chord_through,
     classify,
     projective_image,
+    _along,
     _angle_rows,
     _cross2,
+    _norms,
     _read_only,
 )
 from .errors import (
@@ -104,13 +107,23 @@ def distance_pairs(body: ConvexBody, X: np.ndarray, Y: np.ndarray) -> np.ndarray
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    live = np.linalg.norm(X - Y, axis=1) > TAU_P
+    live = _norms(X, Y) > TAU_P
     if live.all():   # the usual case, without the masked copies
         return body.pair_distances(X, Y)
     out = np.zeros(live.shape)
     if live.any():
-        out[live] = body.pair_distances(X[live], Y[live])
+        out[live] = body.pair_distances(np.compress(live, X, axis=0), np.compress(live, Y, axis=0))
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _triu(m: int) -> tuple[np.ndarray, ...]:
+    """``np.triu_indices(m, k=1)`` as read-only arrays, built once per row
+    count (the audits and the piece diameters repeat a few counts)."""
+    idx = np.triu_indices(m, k=1)
+    for i in idx:
+        i.flags.writeable = False
+    return idx
 
 
 def pairwise_distances(body: ConvexBody, P: np.ndarray) -> np.ndarray:
@@ -120,8 +133,8 @@ def pairwise_distances(body: ConvexBody, P: np.ndarray) -> np.ndarray:
     than two rows.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    ii, jj = np.triu_indices(len(P), k=1)
-    return distance_pairs(body, P[ii], P[jj])
+    ii, jj = _triu(len(P))
+    return distance_pairs(body, np.take(P, ii, axis=0), np.take(P, jj, axis=0))
 
 
 @dataclass(frozen=True)
@@ -155,7 +168,7 @@ def ray_points(body: ConvexBody, P: np.ndarray, U: np.ndarray, t) -> np.ndarray:
     """Points at Hilbert distance t (scalar or per row) from interior rows P
     along unit rows U; unchecked fast path, parameter clamped below the exit."""
     a, b = body.ray_exit(P, U)
-    return P + _ray_param(a, b, t)[:, None] * U
+    return _along(P, _ray_param(a, b, t), U)
 
 
 def ray_point(ray: RaySpec, t: float) -> np.ndarray:

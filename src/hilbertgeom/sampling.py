@@ -26,6 +26,18 @@ def _collect(draw, n: int, what: str) -> np.ndarray:
     raise SamplingExhausted(f"{what} in {_MAX_ROUNDS + 1} draws")
 
 
+def _box_draw(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """``rng.uniform(lo, hi, (m, n))`` bit for bit, leaving the generator in
+    the same state: the same doubles u, each column scaled to ``lo + (hi - lo) u``
+    in place, so numpy's inner loop runs along the m rows."""
+    R = rng.random((m, len(lo)))
+    for j in range(len(lo)):
+        col = R[:, j]
+        col *= hi[j] - lo[j]
+        col += lo[j]
+    return R
+
+
 def sample_interior(
     body: ConvexBody,
     n: int,
@@ -36,8 +48,8 @@ def sample_interior(
     lo, hi = body.bounding_box()
 
     def draw(_):  # candidates for the whole request each round
-        cand = rng.uniform(lo, hi, size=(max(2 * n, 64), body.dimension))
-        return cand[body.signed_gap(cand) < -max(clearance, body.boundary_tol())]
+        cand = _box_draw(rng, lo, hi, max(2 * n, 64))
+        return np.compress(body.signed_gap(cand) < -max(clearance, body.boundary_tol()), cand, axis=0)
 
     return _collect(draw, n, "too few points clear of the boundary")
 
@@ -70,9 +82,9 @@ def ball_candidates(
     c = np.asarray(center, dtype=float)
     body.require_interior(c[None, :], "metric ball center must be interior")
     lo, hi = ball_box(body, c, t)
-    cand = rng.uniform(lo, hi, size=(int(attempts), body.dimension))
-    cand = cand[body.signed_gap(cand) < -body.boundary_tol()]
-    return cand[distance_pairs(body, np.broadcast_to(c, cand.shape), cand) <= t]
+    cand = _box_draw(rng, lo, hi, int(attempts))
+    cand = np.compress(body.signed_gap(cand) < -body.boundary_tol(), cand, axis=0)
+    return np.compress(distance_pairs(body, np.broadcast_to(c, cand.shape), cand) <= t, cand, axis=0)
 
 
 def sample_ball(
