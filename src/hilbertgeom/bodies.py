@@ -29,7 +29,8 @@ which forms no exit length and is bit-exactly symmetric.  Disks and
 ellipsoids are Beltrami-Klein models of hyperbolic space, so in unit-ball
 coordinates x, y with ``delta = x - y`` their ``pair_distances`` is the
 Cayley-Klein form ``sinh^2(d/2) = (|delta|^2 (1 - |y|^2) + (delta . y)^2)
-/ ((1 - |x|^2)(1 - |y|^2))``, which forms no exit length either.  A
+/ ((1 - |x|^2)(1 - |y|^2))``, which forms no exit length either, and
+runs in the same row blocks.  A
 generic bisection oracle on ``signed_gap`` is exposed as
 ``boundary_hit_bisect`` to cross-check the closed forms.
 
@@ -270,11 +271,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 SLACK_BLOCK = 1 << 16
 
 
-def _row_blocks(constraints: int, m: int) -> list[slice]:
-    """Blocks of ``SLACK_BLOCK // constraints`` rows, rounded down to a multiple
-    of 64 (so ``_slacks`` stays bit-identical); the last takes the remainder."""
-    step = max(64, SLACK_BLOCK // constraints // 64 * 64)
-    cuts = [*range(0, max(m // step, 1) * step, step), m]
+def _row_blocks(width: int, m: int) -> list[slice]:
+    """Blocks of ``SLACK_BLOCK // width`` rows for (width, rows) buffers, rounded
+    down to a multiple of 64 (so ``_slacks`` stays bit-identical); the last
+    takes the remainder."""
+    step = max(64, SLACK_BLOCK // width // 64 * 64)
+    if m < 2 * step:  # the common case, without building the cuts
+        return [slice(0, m)]
+    cuts = [*range(0, m // step * step, step), m]
     return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
@@ -354,20 +358,25 @@ def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     ``ay = 1 - |v|^2``: ``sinh^2(d/2) = (|delta|^2 ay + (delta . v)^2) / (ax ay)``.
     The numerator is a sum of non-negative terms; averaging it with its
     x <-> y twin ``|delta|^2 ax + (delta . w)^2`` makes the result bit-exactly
-    symmetric, because swapping X and Y negates delta exactly.
+    symmetric, because swapping X and Y negates delta exactly.  Three
+    (n, rows) buffers per row block: W, V and delta.
     """
-    W = M @ _coords(X, c)
-    V = M @ _coords(Y, c)
-    D = M @ _coords(X, Y)
-    ax = 1.0 - np.einsum("ij,ij->j", W, W)
-    ay = 1.0 - np.einsum("ij,ij->j", V, V)
-    if not ((ax > 0.0).all() and (ay > 0.0).all()):
-        raise ExteriorBase("pair point is not inside the body")
-    dd = np.einsum("ij,ij->j", D, D)
-    dw = np.einsum("ij,ij->j", D, W)
-    dv = np.einsum("ij,ij->j", D, V)
-    num = (dd * ax + dw * dw) + (dd * ay + dv * dv)
-    return 2.0 * np.arcsinh(np.sqrt(num / (2.0 * (ax * ay))))
+    out = np.empty(X.shape[0])
+    for rows in _row_blocks(len(M), X.shape[0]):
+        x, y = X[rows], Y[rows]
+        W = M @ _coords(x, c)
+        V = M @ _coords(y, c)
+        D = M @ _coords(x, y)
+        ax = 1.0 - np.einsum("ij,ij->j", W, W)
+        ay = 1.0 - np.einsum("ij,ij->j", V, V)
+        if not ((ax > 0.0).all() and (ay > 0.0).all()):
+            raise ExteriorBase("pair point is not inside the body")
+        dd = np.einsum("ij,ij->j", D, D)
+        dw = np.einsum("ij,ij->j", D, W)
+        dv = np.einsum("ij,ij->j", D, V)
+        num = (dd * ax + dw * dw) + (dd * ay + dv * dv)
+        out[rows] = 2.0 * np.arcsinh(np.sqrt(num / (2.0 * (ax * ay))))
+    return out
 
 
 def _pivot_cap(m: int, n: int) -> int:

@@ -82,7 +82,12 @@ def verify_contraction(
         return ContractionReport(R, r, D, 0, -r)
     rng = np.random.default_rng(seed)
     Y = sample_ball(body, c, R, samples, rng)
-    F = px + D * (Y - px)
+    F = np.empty_like(Y)  # px + D (Y - px), one coordinate column at a time
+    for j, p in enumerate(px):
+        col = F[:, j]
+        np.subtract(Y[:, j], p, out=col)
+        col *= D
+        col += p
     d = distance_pairs(body, np.broadcast_to(px, F.shape), F)
     return ContractionReport(R, r, D, samples, float(np.max(d) - r))
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .bodies import ConvexBody
+from .bodies import ConvexBody, _row_blocks
 from .errors import SamplingExhausted
 from .metric import distance_pairs
 
@@ -38,20 +38,44 @@ def _box_draw(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, m: int) 
     return R
 
 
+def _stream(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, m: int, need: int,
+            accept) -> np.ndarray:
+    """The rows ``accept`` keeps of ``_box_draw(rng, lo, hi, m)``, at least
+    ``need`` of them when there are that many, in draw order.  The m rows are
+    drawn in ``_row_blocks`` blocks; once ``need`` rows are held, the later
+    blocks are drawn and dropped untested, so the generator ends where one
+    m-row draw leaves it (for every bit generator: no ``advance``)."""
+    parts, held = [np.empty((0, len(lo)))], 0  # m = 0 gives (0, n)
+    for rows in _row_blocks(len(lo), m):
+        k = rows.stop - rows.start
+        if held >= need:
+            rng.random((k, len(lo)))
+            continue
+        parts.append(accept(_box_draw(rng, lo, hi, k)))
+        held += len(parts[-1])
+    return np.concatenate(parts)
+
+
 def sample_interior(
     body: ConvexBody,
     n: int,
     rng: np.random.Generator,
     clearance: float = 0.0,
 ) -> np.ndarray:
-    """Draw n points with signed gap below -clearance, uniformly from the box."""
+    """Draw n points with signed gap below -clearance, uniformly from the box.
+
+    Each round draws max(2n, 64) candidates, however many rows are still
+    missing, so the stream does not depend on earlier rounds; it tests them
+    only until the missing rows are filled.
+    """
     lo, hi = body.bounding_box()
+    floor = -max(clearance, body.boundary_tol())
 
-    def draw(_):  # candidates for the whole request each round
-        cand = _box_draw(rng, lo, hi, max(2 * n, 64))
-        return np.compress(body.signed_gap(cand) < -max(clearance, body.boundary_tol()), cand, axis=0)
+    def accept(C):
+        return np.compress(body.signed_gap(C) < floor, C, axis=0)
 
-    return _collect(draw, n, "too few points clear of the boundary")
+    return _collect(lambda k: _stream(rng, lo, hi, max(2 * n, 64), k, accept), n,
+                    "too few points clear of the boundary")
 
 
 def ball_box(body: ConvexBody, center, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -82,9 +106,13 @@ def ball_candidates(
     c = np.asarray(center, dtype=float)
     body.require_interior(c[None, :], "metric ball center must be interior")
     lo, hi = ball_box(body, c, t)
-    cand = _box_draw(rng, lo, hi, int(attempts))
-    cand = np.compress(body.signed_gap(cand) < -body.boundary_tol(), cand, axis=0)
-    return np.compress(distance_pairs(body, np.broadcast_to(c, cand.shape), cand) <= t, cand, axis=0)
+    tol = body.boundary_tol()
+
+    def accept(C):
+        C = np.compress(body.signed_gap(C) < -tol, C, axis=0)
+        return np.compress(distance_pairs(body, np.broadcast_to(c, C.shape), C) <= t, C, axis=0)
+
+    return _stream(rng, lo, hi, int(attempts), int(attempts), accept)
 
 
 def sample_ball(
