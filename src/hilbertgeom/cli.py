@@ -39,6 +39,7 @@ from .bodies import (
 )
 from .coarse import corona_probe, flat_boundary_ray_bound, greedy_packing, verify_contraction
 from .cover import (
+    SphereField,
     arc_tolerance,
     decomposition_audit,
     footprint_diameter,
@@ -352,7 +353,8 @@ def footprint_defect(body: ConvexBody, o, rng: np.random.Generator, n: int) -> n
     ts = ASDIM_STEP * rng.integers(1, ASDIM_LEVELS + 1, n)
     C = sphere_points(body, o, rng.uniform(0.0, TWO_PI, n), ts)
     seeds = rng.integers(2**31, size=n)
-    return np.array([footprint_diameter(body, o, c, r, t, samples=48, seed=int(seed))
+    field = SphereField(body, o)
+    return np.array([footprint_diameter(field, c, r, t, samples=48, seed=int(seed))
                      for c, t, seed in zip(C, ts, seeds)]) - 4.0 * r
 
 

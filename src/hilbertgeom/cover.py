@@ -14,10 +14,11 @@ the arc count comes out even, so every decomposition has an odd number of
 arcs per parent arc.  Markers alternate between kinds X and Y; radial
 projection between consecutive spheres is the identity on angles, so a
 marker of one level lifts to the next level at the exact same angle with
-the opposite kind.  Pieces of the cover are the angular sectors between
-consecutive X markers, bounded by two spheres and two radial segments, plus
-the central ball.  The construction keeps the multiplicity of metric
-r-balls at 3 or below once R > 4r.
+the opposite kind.  Every level is built by that lift: level 0 is the base
+point with two markers, Y at 0 and X at pi.  Pieces of the cover are the
+angular sectors between consecutive X markers, bounded by two spheres and
+two radial segments, plus the central ball.  The construction keeps the
+multiplicity of metric r-balls at 3 or below once R > 4r.
 """
 
 from __future__ import annotations
@@ -74,13 +75,14 @@ def _norm_angle(theta: float) -> float:
 
 
 class SphereField:
-    """The rays from one interior base point of a planar body, by angle; uncached."""
+    """The rays from one interior base point of a planar body, by angle; uncached.
+    Every level and piece of one cover holds the same field, so ``o`` is read-only."""
 
     def __init__(self, body: ConvexBody, o):
         if body.dimension != 2:
             raise DimensionUnsupported("sphere decompositions are planar")
         self.body = body
-        self.o = as_point(o, 2)
+        self.o = _read_only(as_point(o, 2))
         if classify(body, self.o) is not Region.INTERIOR:
             raise ExteriorPoint("decomposition base point must be interior")
 
@@ -101,15 +103,13 @@ class SphereField:
 
 @dataclass(frozen=True)
 class SphereLevel:
-    """Metric sphere number ``index`` about ``base``, radius exactly index * R."""
+    """Metric sphere number ``index`` about the field's base, radius exactly
+    index * R; level 0 is the base point.  The levels of one cover share
+    their ``field``."""
 
     index: int
     radius: float
-    body: ConvexBody
-    base: np.ndarray
-
-    def field(self) -> SphereField:
-        return SphereField(self.body, self.base)
+    field: SphereField
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,7 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     that is empty or whose sampled points never reach distance R from its
     start.
     """
-    field = level.field()
+    field = level.field
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
     lo = np.full(starts.shape, np.nan)
@@ -290,30 +290,19 @@ def decompose_arc(level: SphereLevel, starts, ends, R: float) -> list[list[float
     return [p[1:-1] for p in pts]
 
 
-def _assemble(level: SphereLevel, angle_kind_pairs: list[tuple[float, str]]) -> ArcDecomposition:
-    markers = tuple(Marker(angle=angle, kind=kind) for angle, kind in sorted(angle_kind_pairs))
-    return ArcDecomposition(level=level, markers=markers)
-
-
 def initial_decomposition(body: ConvexBody, o, R: float) -> ArcDecomposition:
-    """Decompose the first sphere, split into halves at 0 and pi.
+    """Decompose the first sphere: the lift of a two-marker level 0.
 
-    The two half arcs always reach R (their endpoints are antipodal,
-    hence 2R apart), so each is decomposed on its own and the marker kinds
-    alternate starting with X at angle 0.
+    Level 0 is the base point with Y at angle 0 and X at pi, so the lift
+    splits sphere 1 into the halves [0, pi] and [pi, 2 pi].  Both always
+    reach R (their endpoints are antipodal, hence 2R apart), each is
+    decomposed on its own, and the marker kinds alternate starting with X
+    at angle 0.  The cover's one ``SphereField`` is built here.
     """
     if R <= 0.0:
         raise NegativeParameter("sphere step R must be positive")
-    level = SphereLevel(index=1, radius=R, body=body, base=_read_only(as_point(o, 2)))
-    try:
-        cuts1, cuts2 = decompose_arc(level, [0.0, math.pi], [math.pi, TWO_PI], R)
-    except ArcReachViolation as e:
-        raise ArcReachViolation(f"level 1 with R={R:g}: {e}") from e
-    ordered = [0.0, *cuts1, math.pi, *cuts2]
-    pairs = [(_norm_angle(t), "X" if i % 2 == 0 else "Y") for i, t in enumerate(ordered)]
-    if len(pairs) % 2 != 0:
-        raise RuntimeError("internal: initial marker count came out odd")
-    return _assemble(level, pairs)
+    base = SphereLevel(index=0, radius=0.0, field=SphereField(body, o))
+    return _lift(ArcDecomposition(base, (Marker(0.0, "Y"), Marker(math.pi, "X"))), R)
 
 
 def refine_level(dec: ArcDecomposition, R: float) -> ArcDecomposition:
@@ -325,13 +314,14 @@ def refine_level(dec: ArcDecomposition, R: float) -> ArcDecomposition:
     opposite kind, which is exactly the interleaving the multiplicity bound
     needs.  An ArcReachViolation here means the inputs were inconsistent.
     """
+    return _lift(dec, R)
+
+
+def _lift(dec: ArcDecomposition, R: float) -> ArcDecomposition:
+    """The lift behind both ``initial_decomposition`` and ``refine_level``;
+    private, so building level 1 makes no ``refine_level`` call."""
     lower = dec.level
-    upper = SphereLevel(
-        index=lower.index + 1,
-        radius=(lower.index + 1) * R,
-        body=lower.body,
-        base=lower.base,
-    )
+    upper = SphereLevel(index=lower.index + 1, radius=(lower.index + 1) * R, field=lower.field)
     marks = dec.markers
     M = len(marks)
     start = next(i for i, mk in enumerate(marks) if mk.kind == "Y")
@@ -358,7 +348,7 @@ def refine_level(dec: ArcDecomposition, R: float) -> ArcDecomposition:
         kind = flip[kind]
     if len(new_pairs) % 2 != 0:
         raise RuntimeError("internal: refined marker count came out odd")
-    return _assemble(upper, new_pairs)
+    return ArcDecomposition(upper, tuple(Marker(angle, kind) for angle, kind in sorted(new_pairs)))
 
 
 def refine_to_depth(body: ConvexBody, o, R: float, levels: int) -> list[ArcDecomposition]:
@@ -415,7 +405,7 @@ def decomposition_audit(dec: ArcDecomposition, R: float) -> list[dict]:
     uniform angles (needs >= R); ``diameter`` is the Hilbert diameter over
     N_DIAM + 1 uniform angles (needs <= 4R).  Arcs are sampled one by one.
     """
-    field = dec.level.field()
+    field = dec.level.field
     rows = []
     for lo, hi in dec.arcs():
         reach = field.points(lo + (hi - lo) * np.arange(N_ARC + 1) / N_ARC, dec.level.radius)
@@ -436,6 +426,7 @@ class CoverPiece:
     Level 0 is the central ball: full angle, radii [0, R].  Other levels are
     bounded by the inner arc at level * R, the outer (lifted) arc at
     (level + 1) * R, and two radial geodesic sides at the X marker angles.
+    The pieces of one cover share its ``field``.
     """
 
     level: int
@@ -444,8 +435,7 @@ class CoverPiece:
     width: float
     r_inner: float
     r_outer: float
-    body: ConvexBody
-    base: np.ndarray
+    field: SphereField
 
     @property
     def theta_end(self) -> float:
@@ -456,15 +446,10 @@ class CoverPiece:
         return bool(_in_sectors(t, theta, self.r_inner, self.r_outer,
                                 self.theta_start, self.width, self.level == 0, tol))
 
-    def sample_rays(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Angles and radii of the boundary samples (arcs, then radial sides);
-        the count depends only on n.  The one-row form of ``_sample_rays``."""
-        angles, radii = _sample_rays(*_piece_table([self]), n)
-        return angles[0], radii[0]
-
     def boundary_samples(self, n: int) -> np.ndarray:
-        """Boundary points (arcs and radial sides); the count depends only on n."""
-        return SphereField(self.body, self.base).points(*self.sample_rays(n))
+        """Boundary points (arcs, then radial sides); the count depends only on n."""
+        angles, radii = _sample_rays(*_piece_table([self]), n)
+        return self.field.points(angles[0], radii[0])
 
 
 def _in_sectors(t, theta, r_inner, r_outer, theta_start, width, full, tol: float = 1e-9):
@@ -514,32 +499,19 @@ def build_cover(body: ConvexBody, o, R: float, levels: int) -> list[CoverPiece]:
 def pieces_from_decompositions(
     body: ConvexBody, o, R: float, decs: Sequence[ArcDecomposition]
 ) -> list[CoverPiece]:
-    base = _read_only(as_point(o, 2))
-    pieces = [
-        CoverPiece(
-            level=0, ordinal=0, theta_start=0.0, width=TWO_PI,
-            r_inner=0.0, r_outer=R, body=body, base=base,
-        )
-    ]
+    """The central ball and each level's sectors, all holding one new field."""
+    field = SphereField(body, o)
+    pieces = [CoverPiece(level=0, ordinal=0, theta_start=0.0, width=TWO_PI,
+                         r_inner=0.0, r_outer=R, field=field)]
     for dec in decs:
         xs = dec.x_markers()
         for j, mk in enumerate(xs):
-            nxt = xs[(j + 1) % len(xs)]
-            width = _norm_angle(nxt.angle - mk.angle)
+            width = _norm_angle(xs[(j + 1) % len(xs)].angle - mk.angle)
             if width <= 0.0:
                 width = TWO_PI
-            pieces.append(
-                CoverPiece(
-                    level=dec.level.index,
-                    ordinal=j,
-                    theta_start=mk.angle,
-                    width=width,
-                    r_inner=dec.level.radius,
-                    r_outer=dec.level.radius + R,
-                    body=body,
-                    base=base,
-                )
-            )
+            pieces.append(CoverPiece(level=dec.level.index, ordinal=j, theta_start=mk.angle,
+                                     width=width, r_inner=dec.level.radius,
+                                     r_outer=dec.level.radius + R, field=field))
     return pieces
 
 
@@ -547,7 +519,7 @@ def piece_diameter(piece: CoverPiece, n: int = 64) -> float:
     """Sampled Hilbert diameter over >= 64 boundary samples."""
     if n < 64:
         raise ValueError("piece diameter sampling needs at least 64 points")
-    return float(pairwise_distances(piece.body, piece.boundary_samples(n)).max())
+    return float(pairwise_distances(piece.field.body, piece.boundary_samples(n)).max())
 
 
 @dataclass(frozen=True)
@@ -578,7 +550,7 @@ def multiplicity_probe(
     """Count pieces met by random metric r-balls; requires R > 4r.
 
     A piece is counted when the ball center lies inside it or within
-    distance r of its boundary samples (``sample_rays(PROBE_SAMPLES)``), so
+    distance r of its ``boundary_samples(PROBE_SAMPLES)``, so
     the count is a lower bound for the true multiplicity and can only miss
     grazing contacts.
 
@@ -608,8 +580,8 @@ def multiplicity_probe(
     R = ball.r_outer
     if not R > 4.0 * r:
         raise BadRadii(f"multiplicity probe requires R > 4r, got R={R:g}, r={r:g}")
-    body = ball.body
-    field = SphereField(body, ball.base)
+    field = ball.field
+    body = field.body
 
     starts, widths, r_in, r_out, full = _piece_table(pieces)
     angles, radii = _sample_rays(starts, widths, r_in, r_out, full, PROBE_SAMPLES)
@@ -664,21 +636,19 @@ def multiplicity_probe(
 
 
 def footprint_diameter(
-    body: ConvexBody,
-    o,
+    field: SphereField,
     ball_center,
     r: float,
     level_radius: float,
     samples: int,
     seed: int,
 ) -> float:
-    """Sampled diameter of the radial projection of B(center, r) onto a sphere."""
+    """Sampled diameter of the radial projection of B(center, r) onto the
+    field's sphere of radius ``level_radius``."""
     from .sampling import sample_ball
 
     rng = np.random.default_rng(seed)
-    pts = sample_ball(body, ball_center, r, samples, rng)
-    po = as_point(o, 2)
-    diffs = pts - po
+    pts = sample_ball(field.body, ball_center, r, samples, rng)
+    diffs = pts - field.o
     angles = np.arctan2(diffs[:, 1], diffs[:, 0])
-    field = SphereField(body, po)
-    return float(pairwise_distances(body, field.points(angles, level_radius)).max())
+    return float(pairwise_distances(field.body, field.points(angles, level_radius)).max())

@@ -97,14 +97,15 @@ def render_ball(body: ConvexBody, ball_points: np.ndarray, center) -> str:
 def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
     """Each piece's outer arc and, off level 0, its two radial sides.
 
-    Consecutive pieces share one oracle call of at most ROW_BUDGET rows.
+    Points come from the cover's one ``SphereField``; consecutive pieces
+    share one oracle call of at most ROW_BUDGET rows.
     """
     frame, outline = _frame_for(body)
     lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
     if not pieces:
         return _document(lines)
-    field = SphereField(body, pieces[0].base)
-    lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
+    field = pieces[0].field
+    lines.append(_dot(frame, field.o, "#000000", 3.0))
     # a piece has at most ARC_SAMPLES + 33 rows: its outer arc and two 16-point sides
     per_call = max(1, ROW_BUDGET // (ARC_SAMPLES + 33))
     for c in range(0, len(pieces), per_call):

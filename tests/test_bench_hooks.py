@@ -47,6 +47,30 @@ need = [n for n in perlayer.REQUIRED_CALLS["cover-deep"] if n != "svgout.render_
 print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) == 0]}))
 """
 
+# Level 1 and two refinements, traced: level 1 is a lift too, and building it
+# must record no ``refine_level`` span, or markers and ``cover.refine.s``
+# would count it twice.
+LIFT_RUN = """
+import json
+import numpy as np
+import tracer
+t = tracer.Tracer()
+t.install()
+from hilbertgeom import Disk, cover
+body, o = Disk((0.0, 0.0), 1.0), np.zeros(2)
+t.enabled = True
+decs = [cover.initial_decomposition(body, o, 1.0)]
+for _ in range(2):
+    decs.append(cover.refine_level(decs[-1], 1.0))
+t.enabled = False
+table = tracer.SpanTable(t)
+nested = table.mask("cover.refine_level") & table.under("cover.initial_decomposition")
+print(json.dumps({"traced": {str(k): v for k, v in sorted(t.markers.items())},
+                  "made": {str(d.level.index): len(d.markers) for d in decs},
+                  "refine_calls": table.calls("cover.refine_level"),
+                  "nested": int(nested.sum())}))
+"""
+
 # Every suite at a small sample count on three bench bodies, plus the
 # coarse and corona suites the benchmark times on the halfspace square;
 # every verify-suites name must record calls on it.
@@ -124,6 +148,13 @@ def test_cover_pipeline_calls_every_traced_name():
     assert "cover.first_marker" in got["need"]
     assert "cover.SphereField.exits" in got["need"]
     assert got["uncalled"] == []
+
+
+def test_level_one_records_no_refine_level_span():
+    got = _run(LIFT_RUN)
+    assert got["traced"] == got["made"] and sorted(got["made"]) == ["1", "2", "3"]
+    assert got["refine_calls"] == 2
+    assert got["nested"] == 0
 
 
 def test_verify_suites_call_every_traced_name():

@@ -558,7 +558,7 @@ def test_render_cover_colors_by_level_parity(unit_disk):
 def _render_cover_per_polyline(body, pieces, arc_samples=256):
     """The per-piece renderer: one sphere-point call and one formatting
     loop per polyline.  Reference for the batched ``render_cover``."""
-    from hilbertgeom.cover import TWO_PI, SphereField
+    from hilbertgeom.cover import TWO_PI
     from hilbertgeom.svgout import PALETTE, VIEW, _document, _dot, _frame_for
 
     frame, outline = _frame_for(body)
@@ -570,8 +570,8 @@ def _render_cover_per_polyline(body, pieces, arc_samples=256):
         return f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="{width:.6f}"/>'
 
     lines = [polyline(outline, "#000000", 2.0, True)]
-    field = SphereField(body, pieces[0].base)
-    lines.append(_dot(frame, pieces[0].base, "#000000", 3.0))
+    field = pieces[0].field
+    lines.append(_dot(frame, field.o, "#000000", 3.0))
     for p in pieces:
         color = PALETTE[p.level % 2]
         if p.level == 0:

@@ -14,6 +14,8 @@ Cover pieces are the sectors between consecutive same-kind markers of
 one level, bounded by the adjacent sphere radii.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from hilbertgeom import (
     first_marker,
     initial_decomposition,
     is_admissible_over,
+    load_body,
     multiplicity_probe,
     piece_diameter,
     ray_points,
@@ -41,13 +44,95 @@ from hilbertgeom.cover import (
     footprint_diameter,
     initial_half_counts,
     pieces_from_decompositions,
+    refine_level,
     refinement_arc_counts,
 )
 from hilbertgeom import cover
-from hilbertgeom.cli import main
+from hilbertgeom.cli import footprint_defect, main
+from hilbertgeom.svgout import render_cover
 from hilbertgeom.errors import ArcMarchExhausted, ArcReachViolation, BadRadii
 
 R = 1.0
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
+PLANAR_BENCH = ("disk", "ellipse", "square", "heptagon", "square_halfspaces", "gon64")
+
+
+def _two_half_initial_decomposition(body, o, R):
+    """Level 1 as it was built before it became the lift of level 0: the
+    half circles [0, pi] and [pi, 2 pi] decomposed on their own, kinds by
+    parity from X at 0.  The reference for the tests below."""
+    level = SphereLevel(index=1, radius=R, field=SphereField(body, o))
+    cuts1, cuts2 = decompose_arc(level, [0.0, np.pi], [np.pi, 2.0 * np.pi], R)
+    ordered = [0.0, *cuts1, np.pi, *cuts2]
+    pairs = sorted((cover._norm_angle(t), "X" if i % 2 == 0 else "Y") for i, t in enumerate(ordered))
+    return ArcDecomposition(level, tuple(Marker(a, k) for a, k in pairs))
+
+
+def _same_decomposition(a, b):
+    return (a.level.index == b.level.index and a.level.radius == b.level.radius
+            and np.array_equal(a.angles(), b.angles())
+            and [m.kind for m in a.markers] == [m.kind for m in b.markers])
+
+
+@pytest.mark.parametrize("name", PLANAR_BENCH)
+def test_level_one_lift_matches_the_two_half_construction(name):
+    body = load_body(str(BENCH_DIR / f"{name}.json"))
+    o = body.interior_seed()
+    for step in (0.5, 1.0, 2.0):
+        dec = initial_decomposition(body, o, step)
+        assert _same_decomposition(dec, _two_half_initial_decomposition(body, o, step))
+
+
+def test_level_one_lift_matches_off_the_seed():
+    body = load_body(str(BENCH_DIR / "ellipse.json"))
+    o = np.array([0.9, -0.3])
+    assert _same_decomposition(initial_decomposition(body, o, R),
+                               _two_half_initial_decomposition(body, o, R))
+
+
+@pytest.mark.parametrize("name", ["disk", "square"])
+def test_deep_chain_matches_one_from_the_two_half_level(name):
+    body = load_body(str(BENCH_DIR / f"{name}.json"))
+    o = body.interior_seed()
+    chain = [_two_half_initial_decomposition(body, o, R)]
+    for _ in range(7):
+        chain.append(refine_level(chain[-1], R))
+    decs = refine_to_depth(body, o, R, 8)
+    assert all(_same_decomposition(a, b) for a, b in zip(decs, chain, strict=True))
+
+
+@pytest.fixture
+def fields_made(monkeypatch):
+    """Every SphereField constructed while the test runs."""
+    made = []
+    init = SphereField.__init__
+
+    def counted(self, body, o):
+        made.append(self)
+        init(self, body, o)
+
+    monkeypatch.setattr(SphereField, "__init__", counted)
+    return made
+
+
+def test_a_cover_validates_one_field(unit_disk, fields_made):
+    o = np.zeros(2)
+    decs = refine_to_depth(unit_disk, o, R, 4)
+    pieces = pieces_from_decompositions(unit_disk, o, R, decs)
+    for p in pieces:
+        piece_diameter(p, 64)
+    multiplicity_probe(pieces, 0.2, 200, seed=0)
+    render_cover(unit_disk, pieces)
+    assert len(fields_made) <= 2
+    assert all(d.level.field is decs[0].level.field for d in decs)
+    assert all(p.field is pieces[0].field for p in pieces)
+    with pytest.raises(ValueError):
+        pieces[0].field.o[0] = 0.5   # shared by every piece, so read-only
+
+
+def test_footprint_defect_builds_one_field_for_its_balls(unit_disk, fields_made):
+    assert footprint_defect(unit_disk, np.zeros(2), np.random.default_rng(0), 6).shape == (6,)
+    assert len(fields_made) == 1
 
 
 def test_initial_markers_alternate_and_are_odd(any_body):
@@ -71,7 +156,7 @@ def test_first_marker_is_the_first_crossing(unit_disk):
     o = np.zeros(2)
     dec = initial_decomposition(unit_disk, o, R)
     lvl = dec.level
-    field = lvl.field()
+    field = lvl.field
     (theta,) = first_marker(lvl, [0.0], [np.pi], R)
     assert np.isfinite(theta)
     start, cut = field.points([0.0, theta], R)
@@ -99,7 +184,7 @@ def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk, monkeypatch):
     monkeypatch.setattr(cover, "ANGLE_TOL", 0.0)
     (theta,) = first_marker(lvl, [0.0], [np.pi], R)
     assert np.isfinite(theta)
-    field = lvl.field()
+    field = lvl.field
     start, cut = field.points([0.0, theta], R)
     assert field.dist_from(start, cut[None])[0] == pytest.approx(R, abs=1e-9)
 
@@ -107,7 +192,7 @@ def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk, monkeypatch):
 def _one_halving_first_marker(level, starts, ends, R):
     """``first_marker`` with one bisection halving per oracle call, as it was
     before the tree rounds; the reference for the test below."""
-    field = level.field()
+    field = level.field
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
     lo = np.full(starts.shape, np.nan)
@@ -161,7 +246,7 @@ def test_tree_rounds_match_one_halving_bisection(request, monkeypatch, name, pat
 
 
 def test_decompose_arc_names_the_first_arc_without_reach(unit_disk):
-    lvl = SphereLevel(index=1, radius=R, body=unit_disk, base=np.zeros(2))
+    lvl = SphereLevel(index=1, radius=R, field=SphereField(unit_disk, np.zeros(2)))
     starts = [0.0, 2.0, 4.0]
     ends = [np.pi, 2.01, 4.01]   # arcs 1 and 2 are far too short to reach R
     with pytest.raises(ArcReachViolation, match=r"arc \[2\.000000, 2\.010000\] at radius 1 "):
@@ -170,7 +255,7 @@ def test_decompose_arc_names_the_first_arc_without_reach(unit_disk):
 
 def test_arc_march_cap_is_a_typed_error(unit_disk, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cover, "MAX_MARCH_STEPS", 1)
-    lvl = SphereLevel(index=1, radius=R, body=unit_disk, base=np.zeros(2))
+    lvl = SphereLevel(index=1, radius=R, field=SphereField(unit_disk, np.zeros(2)))
     with pytest.raises(ArcMarchExhausted, match="1 arc"):
         decompose_arc(lvl, [0.0], [np.pi], R)
     disk = tmp_path / "disk.json"
@@ -300,7 +385,7 @@ def _reference_probe(pieces, r, trials, seed, m=32):
     """Per-trial multiplicity loop without pruning: every band candidate's
     samples are measured."""
     ball = next(p for p in pieces if p.level == 0)
-    field = SphereField(ball.body, ball.base)
+    field = ball.field
     samples = np.stack([p.boundary_samples(m) for p in pieces])
     bands = np.array([[p.r_inner, p.r_outer] for p in pieces])
     rng = np.random.default_rng(seed)
@@ -310,7 +395,7 @@ def _reference_probe(pieces, r, trials, seed, m=32):
     for x, t, theta in zip(field.points(thetas, ts), ts, thetas):
         cand = np.nonzero((bands[:, 0] - r - 1e-9 <= t) & (t <= bands[:, 1] + r + 1e-9))[0]
         block = samples[cand].reshape(-1, 2)
-        d = distance_pairs(ball.body, np.broadcast_to(x, block.shape), block)
+        d = distance_pairs(field.body, np.broadcast_to(x, block.shape), block)
         near = d.reshape(cand.size, -1).min(axis=1) <= r
         count = sum(1 for k, i in enumerate(cand) if near[k] or pieces[i].contains(t, theta))
         hist[count] = hist.get(count, 0) + 1
@@ -342,7 +427,7 @@ def test_distance_exceeds_the_pruning_bound(any_body):
 
 
 def _linspace_sample_rays(piece, n):
-    """``CoverPiece.sample_rays`` as it was built piece by piece, with the
+    """A piece's sample rays as they were built piece by piece, with the
     side radii from ``np.linspace``; the reference for the test below."""
     n_arc = max(4, n * 3 // 8)
     n_side = max(2, (n - 2 * n_arc) // 2)
@@ -421,10 +506,11 @@ def test_multiplicity_probe_is_deterministic(unit_disk):
 def test_footprint_of_small_ball_is_narrow(any_body):
     # centers on the level sphere itself: projection spreads at most 4r
     o = any_body.interior_seed()
+    field = SphereField(any_body, o)
     r = 0.2
     for i, theta in ((1, 0.4), (2, 2.1), (3, 4.4)):
         c = sphere_points(any_body, o, [theta], i * R)[0]
-        diam = footprint_diameter(any_body, o, c, r, i * R, 48, seed=2)
+        diam = footprint_diameter(field, c, r, i * R, 48, seed=2)
         assert diam <= 4.0 * r + arc_tolerance(R)
 
 

@@ -24,6 +24,11 @@ RETIRED = {
     "coarse": ("contract",),
     "svgout": ("render_body",),
 }
+# methods that became data or folded into their one caller
+RETIRED_METHODS = {
+    ("cover", "CoverPiece"): ("sample_rays",),
+    ("cover", "SphereLevel"): ("field",),
+}
 
 
 def test_exports_resolve_sorted_and_without_retired_names():
@@ -35,6 +40,10 @@ def test_exports_resolve_sorted_and_without_retired_names():
         for name in retired:
             assert name not in names and not hasattr(hilbertgeom, name), name
             assert not hasattr(mod, name), f"{module}.{name}"
+    for (module, cls), retired in RETIRED_METHODS.items():
+        owner = getattr(importlib.import_module(f"hilbertgeom.{module}"), cls)
+        for name in retired:
+            assert not callable(getattr(owner, name, None)), f"{module}.{cls}.{name}"
 
 
 def test_readme_library_sketch_runs():
