@@ -499,8 +499,12 @@ def build_cover(body: ConvexBody, o, R: float, levels: int) -> list[CoverPiece]:
 def pieces_from_decompositions(
     body: ConvexBody, o, R: float, decs: Sequence[ArcDecomposition]
 ) -> list[CoverPiece]:
-    """The central ball and each level's sectors, all holding one new field."""
-    field = SphereField(body, o)
+    """The central ball and each level's sectors, all holding the field of
+    ``decs``, which must be on (body, o); a new field when ``decs`` is empty."""
+    field = decs[0].level.field if decs else SphereField(body, o)
+    if (field.body is not body or not np.array_equal(field.o, np.asarray(o, dtype=float))
+            or any(d.level.field is not field for d in decs)):
+        raise ValueError("the decompositions must share one field on (body, o)")
     pieces = [CoverPiece(level=0, ordinal=0, theta_start=0.0, width=TWO_PI,
                          r_inner=0.0, r_outer=R, field=field)]
     for dec in decs:

@@ -42,14 +42,49 @@ class Frame:
                          VIEW / 2.0 - (P[:, 1] - self.cy) * self.scale], axis=1)
 
 
-def _polyline(C: np.ndarray, color: str, width: float, closed: bool) -> str:
-    """Polyline element through viewport coordinates C, formatted in one pass."""
+# _fixed6's little-endian 4-byte words for 0..999: "\0%3d" (sign byte, then the
+# integer part with its leading spaces as 0 bytes), ".%03d" and "%03d\0"
+_HEAD, _MID, _TAIL = np.frombuffer(
+    b"".join(b"\0%3d.%03d%03d\0" % (i, i, i) for i in range(1000)).replace(b" ", b"\0"),
+    dtype="<u4").reshape(1000, 3).T.copy()
+
+
+def _fixed6(C: np.ndarray) -> tuple[str, list[int]]:
+    """``" ".join("%.6f,%.6f" % tuple(c) for c in C)`` and where each row's text
+    starts (m + 1 offsets; row i is ``text[off[i]:off[i + 1] - 1]``).
+
+    With u = fl(|v| 1e6) below 2**30, |u - |v| 1e6| <= 2**-24 < 1e-6, so r = rint(u)
+    is the correctly rounded integer %.6f prints unless u is within 1e-6 of a half
+    integer.  Those near ties, |v| >= 1000, nan and inf are formatted by '%.6f'.
+    """
+    v = np.asarray(C, dtype=float).ravel()
+    u = np.fmin(np.abs(v), 2000.0) * 1e6       # fmin maps nan to 2000 too
+    r = np.rint(u)
+    fast = (r < 1e9) & (np.abs(np.abs(u - r) - 0.5) > 1e-6)
+    neg = np.signbit(v) & fast
+    # the others print 0.000000 for now
+    q, f = np.divmod(np.where(fast, r, 0.0).astype(np.uint32), np.uint32(1000000))
+    hi, lo = np.divmod(f, np.uint32(1000))
+    w = np.stack([_HEAD.take(q.astype(np.intp)), _MID.take(hi.astype(np.intp)),
+                  _TAIL.take(lo.astype(np.intp))], axis=1)
+    w[:, 0] |= neg * np.uint32(45)              # '-'
+    w[:, 2] |= np.uint32(32 << 24)
+    w[0::2, 2] += np.uint32(12 << 24)           # ',' (44) after x, ' ' (32) after y
+    size = 9 + neg + (q >= 10) + (q >= 100)     # characters, separator included
+    text = w.tobytes().translate(None, b"\0").decode("ascii")
+    slow = np.flatnonzero(~fast)
+    if slow.size:                               # each printed as 0.000000 so far
+        cuts = (np.cumsum(size) - size)[slow].tolist() + [len(text)]
+        spliced = ["%.6f" % x for x in v[slow].tolist()]
+        text = text[:cuts[0]] + "".join(s + text[a + 8:b] for s, a, b in zip(spliced, cuts, cuts[1:]))
+        size[slow] += [len(s) - 8 for s in spliced]
+    return text[:-1], [0] + np.cumsum(size[0::2] + size[1::2]).tolist()
+
+
+def _polyline(pts: str, color: str, width: float, closed: bool) -> str:
+    """Polyline element through points already formatted by ``_fixed6``."""
     tag = "polygon" if closed else "polyline"
-    pts = " ".join(["%.6f,%.6f"] * len(C)) % tuple(C.ravel().tolist())
-    return (
-        f'<{tag} points="{pts}" fill="none" '
-        f'stroke="{color}" stroke-width="{width:.6f}"/>'
-    )
+    return f'<{tag} points="{pts}" fill="none" stroke="{color}" stroke-width="{width:.6f}"/>'
 
 
 def _dot(frame: Frame, p, color: str, radius: float) -> str:
@@ -87,8 +122,8 @@ def render_ball(body: ConvexBody, ball_points: np.ndarray, center) -> str:
     pts = np.asarray(ball_points, dtype=float)
     lines = [
         coord_header("ball-samples", pts),
-        _polyline(frame.coords(outline), "#000000", 2.0, True),
-        _polyline(frame.coords(pts), PALETTE[0], 1.5, True),
+        _polyline(_fixed6(frame.coords(outline))[0], "#000000", 2.0, True),
+        _polyline(_fixed6(frame.coords(pts))[0], PALETTE[0], 1.5, True),
         _dot(frame, center, PALETTE[1], 3.0),
     ]
     return _document(lines)
@@ -101,7 +136,7 @@ def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
     share one oracle call of at most ROW_BUDGET rows.
     """
     frame, outline = _frame_for(body)
-    lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
+    lines = [_polyline(_fixed6(frame.coords(outline))[0], "#000000", 2.0, True)]
     if not pieces:
         return _document(lines)
     field = pieces[0].field
@@ -115,37 +150,37 @@ def render_cover(body: ConvexBody, pieces: list[CoverPiece]) -> str:
 
 def _piece_polylines(frame: Frame, field: SphereField, pieces: list[CoverPiece]) -> list[str]:
     """One ``SphereField.points`` call gives the polyline points of all the
-    pieces, mapped to the viewport together and then sliced per piece."""
-    steps = np.arange(ARC_SAMPLES + 1)
-    k = steps.size
-    thetas, radii = [], []
-    for p in pieces:
-        if p.level == 0:
-            thetas.append(p.width * steps / ARC_SAMPLES)
-            radii.append(np.full(k, p.r_outer))
-            continue
-        side = np.linspace(p.r_inner, p.r_outer, 16)
-        ends = [th % TWO_PI if th >= TWO_PI else th for th in (p.theta_start, p.theta_end)]
-        thetas.append(np.concatenate([p.theta_start + p.width * steps / ARC_SAMPLES,
-                                      np.repeat(ends, 16)]))
-        radii.append(np.concatenate([np.full(k, p.r_outer), side, side]))
-    C = frame.coords(field.points(np.concatenate(thetas), np.concatenate(radii)))
+    pieces; they are mapped and formatted together, then sliced per piece."""
+    k = ARC_SAMPLES + 1
+    start, width, r_inner, r_outer = np.array(
+        [(p.theta_start, p.width, p.r_inner, p.r_outer) for p in pieces]).T
+    sided = np.array([p.level != 0 for p in pieces])
+    ends = np.stack([start, start + width], axis=1)
+    thetas = np.empty((len(pieces), k + 32))
+    thetas[:, :k] = start[:, None] + width[:, None] * np.arange(k) / ARC_SAMPLES
+    thetas[:, k:] = np.repeat(np.where(ends >= TWO_PI, ends % TWO_PI, ends), 16, axis=1)
+    radii = np.empty_like(thetas)
+    radii[:, :k] = r_outer[:, None]
+    radii[:, k:] = np.tile(np.linspace(r_inner, r_outer, 16, axis=1), 2)
+    # level 0 has no sides: keep only its arc's rows
+    rows = np.arange(k + 32) < np.where(sided, k + 32, k)[:, None]
+    text, off = _fixed6(frame.coords(field.points(thetas[rows], radii[rows])))
     lines, at = [], 0
     for p in pieces:
         # pieces are colored by level parity so neighbours contrast
         color = PALETTE[p.level % 2]
-        lines.append(_polyline(C[at:at + k], color, 1.5, False))
+        lines.append(_polyline(text[off[at]:off[at + k] - 1], color, 1.5, False))
         at += k
         if p.level != 0:
-            lines += [_polyline(C[at:at + 16], color, 1.0, False),
-                      _polyline(C[at + 16:at + 32], color, 1.0, False)]
+            lines += [_polyline(text[off[at]:off[at + 16] - 1], color, 1.0, False),
+                      _polyline(text[off[at + 16]:off[at + 32] - 1], color, 1.0, False)]
             at += 32
     return lines
 
 
 def render_packing(body: ConvexBody, points: np.ndarray, center) -> str:
     frame, outline = _frame_for(body)
-    lines = [_polyline(frame.coords(outline), "#000000", 2.0, True)]
+    lines = [_polyline(_fixed6(frame.coords(outline))[0], "#000000", 2.0, True)]
     lines.append(_dot(frame, center, PALETTE[1], 4.0))
     for p in np.asarray(points, dtype=float):
         lines.append(_dot(frame, p, PALETTE[0], 2.5))

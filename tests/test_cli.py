@@ -592,3 +592,17 @@ def test_render_cover_matches_per_polyline_reference(any_body):
 
     pieces = build_cover(any_body, any_body.interior_seed(), 1.0, 4)
     assert render_cover(any_body, pieces) == _render_cover_per_polyline(any_body, pieces)
+
+
+@pytest.mark.parametrize("name, levels", [("square_halfspaces", 4), ("gon64", 4),
+                                          ("disk", 8), ("square", 8)])
+def test_render_cover_matches_per_polyline_reference_on_bench_bodies(name, levels):
+    """The halfspace square, the 64-gon, and the benchmark's 8 levels."""
+    from pathlib import Path
+
+    from hilbertgeom import build_cover
+
+    body = load_body(str(Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
+                         / f"{name}.json"))
+    pieces = build_cover(body, body.interior_seed(), 1.0, levels)
+    assert render_cover(body, pieces) == _render_cover_per_polyline(body, pieces)

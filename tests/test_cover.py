@@ -123,11 +123,32 @@ def test_a_cover_validates_one_field(unit_disk, fields_made):
         piece_diameter(p, 64)
     multiplicity_probe(pieces, 0.2, 200, seed=0)
     render_cover(unit_disk, pieces)
-    assert len(fields_made) <= 2
+    assert len(fields_made) == 1
+    assert pieces[0].field is decs[0].level.field
     assert all(d.level.field is decs[0].level.field for d in decs)
     assert all(p.field is pieces[0].field for p in pieces)
     with pytest.raises(ValueError):
         pieces[0].field.o[0] = 0.5   # shared by every piece, so read-only
+
+
+def test_pieces_without_decompositions_build_one_field(unit_disk, fields_made):
+    (ball,) = pieces_from_decompositions(unit_disk, np.zeros(2), R, [])
+    assert ball.level == 0 and len(fields_made) == 1
+    assert ball.field.body is unit_disk
+
+
+def test_pieces_reject_decompositions_on_another_field(unit_disk, square):
+    o = np.zeros(2)
+    decs = refine_to_depth(unit_disk, o, R, 2)
+    other = refine_to_depth(unit_disk, o, R, 1)
+    with pytest.raises(ValueError, match="one field"):
+        pieces_from_decompositions(square, o, R, decs)
+    with pytest.raises(ValueError, match="one field"):
+        pieces_from_decompositions(unit_disk, np.array([0.1, 0.0]), R, decs)
+    with pytest.raises(ValueError, match="one field"):
+        pieces_from_decompositions(unit_disk, o, R, [decs[0], other[0]])
+    with pytest.raises(ValueError, match="one field"):
+        pieces_from_decompositions(unit_disk, [0.0, 0.0, 0.0], R, decs)
 
 
 def test_footprint_defect_builds_one_field_for_its_balls(unit_disk, fields_made):
