@@ -161,9 +161,14 @@ class ArcDecomposition:
 def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     """First angle on each arc whose sphere point is at distance R from the arc start.
 
-    Arc k runs from ``starts[k]`` to ``ends[k]``.  A uniform grid of
-    N_ARC + 1 angles per arc is scanned, ROW_BUDGET // (N_ARC + 1) arcs per
-    oracle call, and each arc's first bracket crossing R is refined by
+    Arc k runs from ``starts[k]`` to ``ends[k]`` and is scanned on the grid
+    angles ``s + (e - s) * j / N_ARC``, j = 1..N_ARC (j = 0 is the start, at
+    distance 0), in blocks of grid columns.  A block is N_ARC columns wide,
+    halved while the open arcs do not fit in one oracle call of ROW_BUDGET
+    rows, down to N_ARC**2 // ROW_BUDGET columns, so an arc takes at most
+    ROW_BUDGET // N_ARC blocks; arcs that still do not fit share several
+    calls.  An arc leaves the scan with the block that holds its first
+    distance >= R, and that first bracket crossing R is refined by
     bisection.  Each oracle round evaluates, for all open brackets at once,
     the midpoints of the next TREE_DEPTH levels of the bisection tree below
     them, then takes up to TREE_DEPTH halvings down that tree.  A bracket
@@ -171,8 +176,8 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     or when its midpoint no longer splits it, so each arc follows the same
     steps as one halving per round, whatever else is in the batch.  Assumes
     only continuity of the distance along the arc.  Holds NaN for an arc
-    that is empty or whose sampled points never reach distance R from its
-    start.
+    that is empty, whose start already reads distance >= R (R <= 0), or
+    whose sampled points never reach distance R from its start.
     """
     field = level.field
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
@@ -180,40 +185,56 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     lo = np.full(starts.shape, np.nan)
     hi = np.full(starts.shape, np.nan)
     p0 = np.zeros((starts.size, 2))
-    steps = np.arange(N_ARC + 1)
-    per_call = max(1, ROW_BUDGET // (N_ARC + 1))
-    for c in range(0, starts.size, per_call):
-        s, e = starts[c:c + per_call], ends[c:c + per_call]
-        thetas = s[:, None] + (e - s)[:, None] * steps / N_ARC
-        pts = field.points(thetas.ravel(), level.radius)
-        P = pts.reshape(s.size, N_ARC + 1, 2)
-        d = field.dist_from(np.repeat(P[:, 0], N_ARC + 1, axis=0), pts).reshape(s.size, N_ARC + 1)
-        hit = d >= R
-        k = hit.argmax(axis=1)
-        found = np.nonzero(hit.any(axis=1) & (k > 0) & (e > s))[0]
-        lo[c + found] = thetas[found, k[found] - 1]
-        hi[c + found] = thetas[found, k[found]]
-        p0[c + found] = P[found, 0]
+    scan = np.nonzero((ends > starts) & (R > 0.0))[0]
+    if scan.size:
+        # never one row: a one-row call takes BLAS's matrix-vector path, whose
+        # last bits differ from those of every wider call
+        p0[scan] = field.points(np.resize(starts[scan], max(2, scan.size)), level.radius)[:scan.size]
+    col = 1
+    while scan.size and col <= N_ARC:
+        width = N_ARC
+        while width > N_ARC * N_ARC // ROW_BUDGET and width * scan.size > ROW_BUDGET:
+            width //= 2
+        cols = np.arange(col, min(col + width, N_ARC + 1))
+        per_call = max(1, ROW_BUDGET // width)
+        done = np.zeros(scan.size, dtype=bool)
+        for c in range(0, scan.size, per_call):
+            k = scan[c:c + per_call]
+            s, e = starts[k], ends[k]
+            thetas = s[:, None] + (e - s)[:, None] * cols / N_ARC
+            d = field.dist_from(np.repeat(p0[k], cols.size, axis=0),
+                                field.points(thetas.ravel(), level.radius))
+            hit = d.reshape(thetas.shape) >= R
+            got = hit.any(axis=1)
+            j, s, e = k[got], s[got], e[got]
+            first = cols[hit[got].argmax(axis=1)]
+            lo[j] = s + (e - s) * (first - 1) / N_ARC
+            hi[j] = s + (e - s) * first / N_ARC
+            done[c:c + per_call] = got
+        scan = scan[~done]
+        col += cols.size
 
     live = np.nonzero(hi - lo > ANGLE_TOL)[0]
     halvings = 0
     while live.size and halvings < MAX_HALVINGS:
         depth = min(TREE_DEPTH, MAX_HALVINGS - halvings)
-        up = np.zeros((lo.size, 2**depth - 1), dtype=bool)
-        up[live] = _crossing_tree(field, level.radius, R, p0[live], lo[live], hi[live], depth)
-        node = np.zeros(lo.size, dtype=int)
+        L, H = lo[live], hi[live]
+        up = _crossing_tree(field, level.radius, R, p0[live], L, H, depth).ravel()
+        walking = np.ones(live.size, dtype=bool)
+        step = 2**(depth - 1)
+        at = np.arange(step - 1, up.size, 2 * step - 1)   # the midpoint of each [L, H] in up
         for _ in range(depth):
-            mid = 0.5 * (lo[live] + hi[live])
-            splits = (lo[live] < mid) & (mid < hi[live])
-            live, mid = live[splits], mid[splits]
-            if live.size == 0:
-                break
-            u = up[live, node[live]]
-            hi[live[u]] = mid[u]
-            lo[live[~u]] = mid[~u]
-            node[live] = 2 * node[live] + np.where(u, 1, 2)   # node 2j + 1 is (lo, mid)
-            live = live[hi[live] - lo[live] > ANGLE_TOL]
-            halvings += 1
+            mid = 0.5 * (L + H)
+            walking &= (L < mid) & (mid < H)
+            u = up[at]
+            np.copyto(H, mid, where=walking & u)
+            np.copyto(L, mid, where=walking & ~u)
+            step //= 2
+            at += np.where(u, -step, step)
+            walking &= H - L > ANGLE_TOL
+        halvings += depth
+        lo[live], hi[live] = L, H
+        live = live[walking]
     return 0.5 * (lo + hi)
 
 
@@ -221,18 +242,20 @@ def _crossing_tree(field: SphereField, radius: float, R: float, p0, lo, hi, dept
     """``d(p0, point(mid)) >= R`` at the midpoint of every bracket in the first
     ``depth`` levels of bisection below each [lo, hi], one oracle call for all.
 
-    Row k holds bracket k's 2**depth - 1 nodes in heap order: node j splits
-    into children 2j + 1 (lower half) and 2j + 2 (upper half).  Midpoints are
-    formed from the bracket ends exactly as the bisection forms them.
+    Row k holds bracket k's 2**depth - 1 midpoints in angle order: column
+    2**(depth - 1) - 1 is the midpoint of [lo, hi], and the midpoints of the
+    two halves of a bracket at level i of the tree (the root is level 0) sit
+    2**(depth - 2 - i) columns below and above its own.  The midpoints fill
+    one array level by level, each between the two ends it halves, formed
+    from the bracket ends exactly as the bisection forms them.
     """
-    L, H = lo[:, None], hi[:, None]
-    mids = []
-    for _ in range(depth):
-        M = 0.5 * (L + H)
-        mids.append(M)
-        L = np.stack([L, M], axis=2).reshape(L.shape[0], -1)
-        H = np.stack([M, H], axis=2).reshape(H.shape[0], -1)
-    thetas = np.concatenate(mids, axis=1)
+    n = 2**depth
+    E = np.empty((lo.size, n + 1))
+    E[:, 0], E[:, n] = lo, hi
+    while n > 1:                            # the brackets of a level end every n columns
+        E[:, n // 2::n] = 0.5 * (E[:, :-1:n] + E[:, n::n])
+        n //= 2
+    thetas = E[:, 1:-1]
     d = field.dist_from(np.repeat(p0, thetas.shape[1], axis=0), field.points(thetas.ravel(), radius))
     return d.reshape(thetas.shape) >= R
 

@@ -97,8 +97,8 @@ def _document(lines: list[str]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW:.0f}" '
         f'height="{VIEW:.0f}" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">'
     )
-    body = "\n".join(lines)
-    return f"{head}\n{body}\n</svg>\n"
+    # one join, so a render holds its lines and the document, not a third copy
+    return "\n".join([head, *(lines or [""]), "</svg>\n"])
 
 
 def _frame_for(body: ConvexBody) -> tuple[Frame, np.ndarray]:

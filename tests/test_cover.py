@@ -210,9 +210,67 @@ def test_first_marker_bisection_ends_at_zero_tolerance(unit_disk, monkeypatch):
     assert field.dist_from(start, cut[None])[0] == pytest.approx(R, abs=1e-9)
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_first_marker_never_cuts_at_a_start_that_reaches_R(unit_disk, step):
+    # d(start, start) = 0 >= R once R <= 0, so no arc has a first crossing after its start
+    lvl = initial_decomposition(unit_disk, np.zeros(2), R).level
+    assert np.isnan(first_marker(lvl, [0.0, 1.0, 3.0], [np.pi, 4.0, 3.5], step)).all()
+
+
+@pytest.fixture
+def gon64():
+    return load_body(str(BENCH_DIR / "gon64.json"))
+
+
+@pytest.fixture
+def scanned_rows(monkeypatch):
+    """The row count of every ``SphereField.points`` call, with bisection off."""
+    monkeypatch.setattr(cover, "MAX_HALVINGS", 0)
+    rows = []
+    points = SphereField.points
+
+    def counted(self, thetas, ts):
+        rows.append(np.size(thetas))
+        return points(self, thetas, ts)
+
+    monkeypatch.setattr(SphereField, "points", counted)
+    return rows
+
+
+def test_marker_scan_stops_at_the_first_crossing_block(unit_disk, scanned_rows):
+    # 16 open arcs scan 256-column blocks; each crosses R in its first block
+    lvl = SphereLevel(index=1, radius=R, field=SphereField(unit_disk, np.zeros(2)))
+    starts = np.arange(16) * np.pi / 8.0
+    assert np.isfinite(first_marker(lvl, starts, starts + np.pi, R)).all()
+    assert scanned_rows[0] == 16                    # the starts, in one call
+    assert max(scanned_rows) <= cover.ROW_BUDGET
+    assert sum(scanned_rows) < (cover.N_ARC + 1) * 16
+
+
+@pytest.mark.parametrize("name", ["unit_disk", "gon64"])
+def test_marker_scan_reads_every_column_of_an_arc_without_crossing(request, name, scanned_rows):
+    lvl = SphereLevel(index=1, radius=R, field=SphereField(request.getfixturevalue(name), np.zeros(2)))
+    assert np.isnan(first_marker(lvl, [1.0], [1.01], R)).all()
+    # the start is measured in two rows: one-row calls take other last bits
+    assert scanned_rows == [2, cover.N_ARC]
+
+
+@pytest.mark.parametrize("name", PLANAR_BENCH)
+def test_deep_markers_match_the_full_grid_reference(monkeypatch, name):
+    body = load_body(str(BENCH_DIR / f"{name}.json"))
+    o = body.interior_seed()
+    for step in (0.5, 1.0, 2.0):
+        decs = refine_to_depth(body, o, step, 8)
+        with monkeypatch.context() as m:
+            m.setattr(cover, "first_marker", _one_halving_first_marker)
+            reference = refine_to_depth(body, o, step, 8)
+        assert all(_same_decomposition(a, b) for a, b in zip(decs, reference, strict=True))
+
+
 def _one_halving_first_marker(level, starts, ends, R):
-    """``first_marker`` with one bisection halving per oracle call, as it was
-    before the tree rounds; the reference for the test below."""
+    """``first_marker`` with one bisection halving per oracle call and every
+    grid column of every arc scanned, as it was before the tree rounds and
+    the blocked scan; the reference for the tests below."""
     field = level.field
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
     ends = np.atleast_1d(np.asarray(ends, dtype=float))
@@ -241,7 +299,11 @@ def _one_halving_first_marker(level, starts, ends, R):
         live, mid = live[splits], mid[splits]
         if live.size == 0:
             break
-        up = field.dist_from(p0[live], field.points(mid, level.radius)) >= R
+        # a lone midpoint is measured twice: one-row calls take BLAS's
+        # matrix-vector path, whose last bits differ on the heptagon and gon64
+        n = max(2, mid.size)
+        P = np.resize(p0[live], (n, 2))
+        up = (field.dist_from(P, field.points(np.resize(mid, n), level.radius)) >= R)[:mid.size]
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
         live = live[hi[live] - lo[live] > cover.ANGLE_TOL]
@@ -250,7 +312,8 @@ def _one_halving_first_marker(level, starts, ends, R):
 
 @pytest.mark.parametrize("patch", [{}, {"ANGLE_TOL": 0.0}, {"MAX_HALVINGS": 5}],
                          ids=["defaults", "angle_tol_0", "max_halvings_5"])
-@pytest.mark.parametrize("name", ["unit_disk", "ellipse21", "square", "square_polytope"])
+@pytest.mark.parametrize("name", ["unit_disk", "ellipse21", "square", "square_polytope",
+                                  "heptagon", "gon64"])
 def test_tree_rounds_match_one_halving_bisection(request, monkeypatch, name, patch):
     # MAX_HALVINGS = 5 is not a multiple of TREE_DEPTH, so the last round is short
     body = request.getfixturevalue(name)

@@ -1,6 +1,7 @@
-"""svgout's fixed-point formatter against Python's '%.6f', and the ball and
-packing renderers against per-point '%' references."""
+"""svgout's fixed-point formatter against Python's '%.6f', the ball and
+packing renderers against per-point '%' references, and the document join."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hilbertgeom import load_body
+from hilbertgeom import build_cover, load_body
 from hilbertgeom.svgout import (PALETTE, VIEW, _document, _dot, _fixed6, _frame_for,
-                                coord_header, render_ball, render_packing)
+                                coord_header, render_ball, render_cover, render_packing)
 
 BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
 PLANAR_BENCH = ("disk", "ellipse", "square", "heptagon", "square_halfspaces", "gon64")
@@ -134,3 +135,34 @@ def test_render_packing_matches_per_point_reference(name):
         [_per_point_polyline(frame, outline, "#000000", 2.0, True), _dot(frame, center, PALETTE[1], 4.0)]
         + [_dot(frame, p, PALETTE[0], 2.5) for p in pts])
     assert render_packing(body, pts, center) == expected
+
+
+def _fstring_document(lines):
+    """``_document`` as it was before the single join: the lines joined into a
+    body, then copied into an f-string with the header."""
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW:.0f}" '
+        f'height="{VIEW:.0f}" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">'
+    )
+    body = "\n".join(lines)
+    return f"{head}\n{body}\n</svg>\n"
+
+
+@pytest.mark.parametrize("lines", [[], [""], ["<a/>"], ["<a/>", "", "<b/>"], ["", ""]],
+                         ids=["empty", "one_blank", "one", "three", "two_blank"])
+def test_document_matches_the_fstring_form(lines):
+    assert _document(lines) == _fstring_document(lines)
+
+
+def test_cover_render_peaks_under_two_and_a_half_documents():
+    # the lines and the document; the f-string form also held the joined body (3.0x)
+    body = _bench_body("disk")
+    pieces = build_cover(body, body.interior_seed(), 1.0, 8)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        doc = render_cover(body, pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(doc)
