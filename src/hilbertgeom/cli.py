@@ -65,7 +65,7 @@ from .metric import (
     sphere_points,
     _unit_rows,
 )
-from .sampling import sample_interior
+from .sampling import INNER_RADIUS, sample_ball, sample_interior
 from .svgout import render_ball, render_cover, render_packing
 
 log = logging.getLogger("hilbertgeom")
@@ -251,6 +251,16 @@ def _planar(body: ConvexBody) -> None:
         raise DimensionUnsupported("the asdim lemmas are planar")
 
 
+def _odd_and_admissible(decs) -> tuple[int, bool]:
+    """Even arc counts (level 1's two halves, then each lower arc's refinement;
+    all must be odd) and whether every level is admissible over the one below."""
+    pairs = list(zip(decs, decs[1:]))
+    counts = [*initial_half_counts(decs[0]),
+              *(c for lo_dec, up_dec in pairs for c in refinement_arc_counts(up_dec, lo_dec))]
+    return (sum(c % 2 == 0 for c in counts),
+            all(is_admissible_over(up_dec, lo_dec) for lo_dec, up_dec in pairs))
+
+
 def _angle_gap(TH: np.ndarray) -> np.ndarray:
     """Angle in [0, pi] between the two directions of each row; equal to
     |math.remainder(a - b, 2 pi)|, since 2 pi - d is exact for d in [pi, 2 pi]."""
@@ -266,10 +276,10 @@ def _angle_gap(TH: np.ndarray) -> np.ndarray:
 def ray_monotonicity_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
     """Decrease of d(l1(t), l2(t)) from a random s to a random t > s, on n ray pairs."""
     _planar(body)
-    clearance = 0.02 * body.euclidean_diameter()
+    o = body.interior_seed()
 
     def draw(k):
-        O = sample_interior(body, k, rng, clearance)
+        O = sample_ball(body, o, INNER_RADIUS, k, rng)
         TH = rng.uniform(0.0, TWO_PI, (k, 2))
         s = rng.uniform(0.05, 8.0, k)
         ST = np.c_[s, s + rng.uniform(0.05, 4.0, k)]
@@ -297,10 +307,10 @@ def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator, n: in
     when it is given.
     """
     _planar(body)
-    clearance = 0.02 * body.euclidean_diameter()
+    o = body.interior_seed()
 
     def draw(k):
-        O = sample_interior(body, k, rng, clearance)
+        O = sample_ball(body, o, INNER_RADIUS, k, rng)
         TH = rng.uniform(0.0, TWO_PI, (k, 2))
         T = rng.uniform(0.2, 4.0, k)
         sep = _angle_gap(TH)
@@ -320,10 +330,10 @@ def concurrency_scatter_defect(body: ConvexBody, rng: np.random.Generator, n: in
 def coray_projection_defect(body: ConvexBody, rng: np.random.Generator, n: int) -> np.ndarray:
     """d(lx(s), ly(s)) - 2 d(x,y) at a random co-ray parameter s, for n instances."""
     _planar(body)
-    diam = body.euclidean_diameter()
+    diam, o = body.euclidean_diameter(), body.interior_seed()
 
     def draw(k):
-        O = sample_interior(body, k, rng, 0.02 * diam)
+        O = sample_ball(body, o, INNER_RADIUS, k, rng)
         X = sample_interior(body, k, rng)
         r = rng.uniform(0.2, 2.0, k)
         U = _unit_rows(rng.normal(size=(k, 2)))
@@ -396,8 +406,7 @@ def _suite_metric(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
     rng = np.random.default_rng([seed, 5])
     worst_rad, worst_cross = 0.0, 0.0
     m = 256
-    for t in (0.5, 2.0):
-        c = sample_interior(body, 1, rng, clearance=0.05 * body.euclidean_diameter())[0]
+    for c, t in zip(sample_ball(body, body.interior_seed(), INNER_RADIUS, 2, rng), (0.5, 2.0)):
         S = sphere_points(body, c, TWO_PI * np.arange(m) / m, t)
         d = distance_pairs(body, np.broadcast_to(c, S.shape), S)
         worst_rad = max(worst_rad, float(np.max(np.abs(d - t))))
@@ -434,11 +443,10 @@ def _suite_coarse(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]
         rows.append(_row(f"packing_separation_R{R:g}_eps{eps:g}", sep_defect, 0.0, rep.count))
 
     rng = np.random.default_rng([seed, 60])
-    clearance = 0.05 * body.euclidean_diameter()
-    A = sample_interior(body, min(n, 200), rng, clearance)
+    A = sample_ball(body, o, INNER_RADIUS, min(n, 200), rng)
     diam = float(np.max(pairwise_distances(body, A), initial=0.0))
-    rows.append(_row("clearance_sets_bounded", 0.0 if math.isfinite(diam) else math.inf,
-                     0.0, len(A), note=f"sampled diameter {diam:.4f} at clearance {clearance:.4f}"))
+    rows.append(_row("clearance_sets_bounded", 0.0 if math.isfinite(diam) else math.inf, 0.0,
+                     len(A), note=f"sampled diameter {diam:.4f} in B(seed, {INNER_RADIUS:.4f})"))
     return rows
 
 
@@ -517,13 +525,8 @@ def _suite_asdim(body: ConvexBody, seed: int, n: int, tol: float) -> list[dict]:
     R, r, levels = ASDIM_STEP, ASDIM_PROBE_RADIUS, ASDIM_LEVELS
     decs = refine_to_depth(body, o, R, levels)
 
-    c1, c2 = initial_half_counts(decs[0])
-    evens = int(c1 % 2 == 0) + int(c2 % 2 == 0)
-    for lo_dec, up_dec in zip(decs, decs[1:]):
-        evens += sum(1 for c in refinement_arc_counts(up_dec, lo_dec) if c % 2 == 0)
+    evens, adm = _odd_and_admissible(decs)
     rows.append(_row("decomposition_odd_counts", float(evens), 0.0, levels))
-
-    adm = all(is_admissible_over(up_dec, lo_dec) for lo_dec, up_dec in zip(decs, decs[1:]))
     rows.append(_row("decomposition_admissible", 0.0 if adm else 1.0, 0.0, levels - 1))
 
     worst_arc = 0.0
@@ -599,13 +602,8 @@ def cmd_cover(args) -> int:
     diams = [piece_diameter(p, 64) for p in pieces]
     mult = multiplicity_probe(pieces, r, args.trials, args.seed)
 
-    c1, c2 = initial_half_counts(decs[0])
-    odd_ok = c1 % 2 == 1 and c2 % 2 == 1 and all(
-        c % 2 == 1
-        for lo_dec, up_dec in zip(decs, decs[1:])
-        for c in refinement_arc_counts(up_dec, lo_dec)
-    )
-    adm_ok = all(is_admissible_over(up_dec, lo_dec) for lo_dec, up_dec in zip(decs, decs[1:]))
+    evens, adm_ok = _odd_and_admissible(decs)
+    odd_ok = evens == 0
     bound = 10.0 * R + arc_tolerance(R)
     ok = max(diams) <= bound and mult.max_count <= 3 and odd_ok and adm_ok
 

@@ -46,6 +46,8 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-10
 # grid resolution for sampled reach scans and marker marching
 N_ARC = 512
+# markers test d >= R (1 - TIE_REL): near flat faces d is R up to rounding over whole arcs
+TIE_REL = 1e-12
 # cap on bisection halvings per marker (not oracle rounds); the width and
 # split tests usually end it first
 MAX_HALVINGS = 64
@@ -168,16 +170,17 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     rows, down to N_ARC**2 // ROW_BUDGET columns, so an arc takes at most
     ROW_BUDGET // N_ARC blocks; arcs that still do not fit share several
     calls.  An arc leaves the scan with the block that holds its first
-    distance >= R, and that first bracket crossing R is refined by
-    bisection.  Each oracle round evaluates, for all open brackets at once,
-    the midpoints of the next TREE_DEPTH levels of the bisection tree below
-    them, then takes up to TREE_DEPTH halvings down that tree.  A bracket
-    closes once it is no wider than ANGLE_TOL, after MAX_HALVINGS halvings,
-    or when its midpoint no longer splits it, so each arc follows the same
-    steps as one halving per round, whatever else is in the batch.  Assumes
-    only continuity of the distance along the arc.  Holds NaN for an arc
-    that is empty, whose start already reads distance >= R (R <= 0), or
-    whose sampled points never reach distance R from its start.
+    distance >= R (1 - TIE_REL), and that first bracket crossing it is
+    refined by bisection.  Each oracle round evaluates, for all open
+    brackets at once, the midpoints of the next TREE_DEPTH levels of the
+    bisection tree below them, then takes up to TREE_DEPTH halvings down
+    that tree.  A bracket closes once it is no wider than ANGLE_TOL, after
+    MAX_HALVINGS halvings, or when its midpoint no longer splits it, so each
+    arc follows the same steps as one halving per round, whatever else is in
+    the batch.  Assumes only continuity of the distance along the arc.
+    Holds NaN for an arc that is empty, whose start already reads distance
+    >= R (R <= 0), or whose sampled points never reach distance R from its
+    start.
     """
     field = level.field
     starts = np.atleast_1d(np.asarray(starts, dtype=float))
@@ -204,7 +207,7 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
             thetas = s[:, None] + (e - s)[:, None] * cols / N_ARC
             d = field.dist_from(np.repeat(p0[k], cols.size, axis=0),
                                 field.points(thetas.ravel(), level.radius))
-            hit = d.reshape(thetas.shape) >= R
+            hit = d.reshape(thetas.shape) >= R * (1.0 - TIE_REL)
             got = hit.any(axis=1)
             j, s, e = k[got], s[got], e[got]
             first = cols[hit[got].argmax(axis=1)]
@@ -239,8 +242,9 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
 
 
 def _crossing_tree(field: SphereField, radius: float, R: float, p0, lo, hi, depth: int) -> np.ndarray:
-    """``d(p0, point(mid)) >= R`` at the midpoint of every bracket in the first
-    ``depth`` levels of bisection below each [lo, hi], one oracle call for all.
+    """``d(p0, point(mid)) >= R (1 - TIE_REL)`` at the midpoint of every
+    bracket in the first ``depth`` levels of bisection below each [lo, hi],
+    one oracle call for all.
 
     Row k holds bracket k's 2**depth - 1 midpoints in angle order: column
     2**(depth - 1) - 1 is the midpoint of [lo, hi], and the midpoints of the
@@ -257,7 +261,7 @@ def _crossing_tree(field: SphereField, radius: float, R: float, p0, lo, hi, dept
         n //= 2
     thetas = E[:, 1:-1]
     d = field.dist_from(np.repeat(p0, thetas.shape[1], axis=0), field.points(thetas.ravel(), radius))
-    return d.reshape(thetas.shape) >= R
+    return d.reshape(thetas.shape) >= R * (1.0 - TIE_REL)
 
 
 def decompose_arc(level: SphereLevel, starts, ends, R: float) -> list[list[float]]:

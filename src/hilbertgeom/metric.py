@@ -290,8 +290,8 @@ def projective_transfer_defect(body: ConvexBody, rng: np.random.Generator, n: in
     t = 0.3 scale N(0, 1); and w is uniform in +-0.5 / (dim scale), where scale
     is the largest |coordinate| of the body's box, so ``w . x + 1 >= 1/2`` on
     the box.  The Hilbert metric is projectively invariant, so each defect
-    measures only numerical error.  x and y keep a clearance of 0.05 times
-    the body's diameter.
+    measures only numerical error.  x and y are drawn from the Hilbert ball
+    B(seed, sampling.INNER_RADIUS) about the body's interior seed.
     """
     from . import sampling  # sampling imports this module, so bind it late
 
@@ -301,9 +301,8 @@ def projective_transfer_defect(body: ConvexBody, rng: np.random.Generator, n: in
     T[:dim, :dim] = np.linalg.qr(rng.normal(size=(dim, dim)))[0] * rng.uniform(0.5, 2.0, dim)
     T[:dim, dim] = 0.3 * scale * rng.normal(size=dim)
     T[dim, :dim] = rng.uniform(-0.5, 0.5, dim) / (dim * scale)
-    clearance = 0.05 * body.euclidean_diameter()
-    X = sampling.sample_interior(body, n, rng, clearance)
-    Y = sampling.sample_interior(body, n, rng, clearance)
-    H = np.vstack([X, Y]) @ T[:, :dim].T + T[:, dim]
+    P = sampling.sample_ball(body, body.interior_seed(), sampling.INNER_RADIUS, 2 * n, rng)
+    H = P @ T[:, :dim].T + T[:, dim]
     TX, TY = np.split(H[:, :dim] / H[:, dim:], 2)
+    X, Y = np.split(P, 2)
     return np.abs(distance_pairs(projective_image(body, T), TX, TY) - distance_pairs(body, X, Y))

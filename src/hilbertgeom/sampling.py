@@ -11,6 +11,8 @@ from .errors import SamplingExhausted
 from .metric import distance_pairs
 
 _MAX_ROUNDS = 200
+# the suites draw "well inside" from B(interior seed, INNER_RADIUS): |x| < 0.9 on the unit disk
+INNER_RADIUS = math.log(19.0)
 
 
 def _collect(draw, n: int, what: str) -> np.ndarray:
@@ -56,20 +58,15 @@ def _stream(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray, m: int, ne
     return np.concatenate(parts)
 
 
-def sample_interior(
-    body: ConvexBody,
-    n: int,
-    rng: np.random.Generator,
-    clearance: float = 0.0,
-) -> np.ndarray:
-    """Draw n points with signed gap below -clearance, uniformly from the box.
+def sample_interior(body: ConvexBody, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw n interior points (signed gap below -boundary_tol), uniformly from the box.
 
     Each round draws max(2n, 64) candidates, however many rows are still
     missing, so the stream does not depend on earlier rounds; it tests them
     only until the missing rows are filled.
     """
     lo, hi = body.bounding_box()
-    floor = -max(clearance, body.boundary_tol())
+    floor = -body.boundary_tol()
 
     def accept(C):
         return np.compress(body.signed_gap(C) < floor, C, axis=0)

@@ -32,13 +32,17 @@ from hilbertgeom.metric import (
     ray_point,
     ray_spec,
 )
-from hilbertgeom.sampling import sample_interior
+from hilbertgeom.sampling import INNER_RADIUS, sample_ball, sample_interior
 
 TWO_PI = 2.0 * math.pi
 
 
+def _bases(body, rng, k):
+    return sample_ball(body, body.interior_seed(), INNER_RADIUS, k, rng)
+
+
 def scalar_monotonicity(body, rng, k):
-    O = sample_interior(body, k, rng, 0.02 * body.euclidean_diameter())
+    O = _bases(body, rng, k)
     TH = rng.uniform(0.0, TWO_PI, (k, 2))
     S = rng.uniform(0.05, 8.0, k)
     T = S + rng.uniform(0.05, 4.0, k)
@@ -55,7 +59,7 @@ def scalar_monotonicity(body, rng, k):
 
 
 def scalar_concurrency(body, rng, k):
-    O = sample_interior(body, k, rng, 0.02 * body.euclidean_diameter())
+    O = _bases(body, rng, k)
     TH = rng.uniform(0.0, TWO_PI, (k, 2))
     T = rng.uniform(0.2, 4.0, k)
     out = []
@@ -75,7 +79,7 @@ def scalar_concurrency(body, rng, k):
 
 def scalar_coray(body, rng, k):
     diam = body.euclidean_diameter()
-    O = sample_interior(body, k, rng, 0.02 * diam)
+    O = _bases(body, rng, k)
     X = sample_interior(body, k, rng)
     r = rng.uniform(0.2, 2.0, k)
     U = rng.normal(size=(k, 2))
@@ -148,14 +152,14 @@ def test_loops_are_planar():
 def test_redraw_budget_bounds_the_loops(unit_disk, monkeypatch):
     budget = sampling._MAX_ROUNDS
     # with no redraws left the loop gives up, while the sampler keeps its rounds
-    real = sample_interior
+    real = sample_ball
 
     def sampler(*args, **kwargs):
         with monkeypatch.context() as m:
             m.setattr(sampling, "_MAX_ROUNDS", budget)
             return real(*args, **kwargs)
 
-    monkeypatch.setattr("hilbertgeom.cli.sample_interior", sampler)
+    monkeypatch.setattr("hilbertgeom.cli.sample_ball", sampler)
     monkeypatch.setattr(sampling, "_MAX_ROUNDS", 0)
     # about 6% of angle pairs are within 0.1 of parallel, so 200 draws hit one
     with pytest.raises(SamplingExhausted):
@@ -164,11 +168,11 @@ def test_redraw_budget_bounds_the_loops(unit_disk, monkeypatch):
 
 @pytest.mark.parametrize("suite", ["asdim", "metric"])
 def test_exhausted_budget_exits_2(suite, tmp_path, monkeypatch, capsys):
-    # the metric suite's draws fill in one round on the disk, but no point of
-    # a strip 0.06 wide clears 0.05 of its diameter
+    # the metric suite's draws fill in one round on the disk, but a triangle
+    # fills 37.5% of its box, so one round of 2n draws holds fewer than n
     body = tmp_path / "body.json"
     body.write_text('{"type": "disk", "center": [0, 0], "radius": 1.0}\n' if suite == "asdim" else
-                    '{"type": "polygon", "vertices": [[-1,-0.03],[1,-0.03],[1,0.03],[-1,0.03]]}\n')
+                    '{"type": "polygon", "vertices": [[0,0],[1,0.5],[0.5,1]]}\n')
     monkeypatch.setattr(sampling, "_MAX_ROUNDS", 0)
     assert main(["verify", "--body", str(body), "--suite", suite,
                  "--out", str(tmp_path / "v")]) == 2
@@ -183,14 +187,14 @@ def test_asdim_suite_draws_in_a_few_sampler_calls_and_notes_rejections(tmp_path,
     disk.write_text('{"type": "disk", "center": [0, 0], "radius": 1.0}\n')
     asked = []
 
-    def sampler(body, n, *args, **kwargs):
+    def sampler(body, center, t, n, rng):
         asked.append(n)
-        return sample_interior(body, n, *args, **kwargs)
+        return sample_ball(body, center, t, n, rng)
 
-    monkeypatch.setattr("hilbertgeom.cli.sample_interior", sampler)
+    monkeypatch.setattr("hilbertgeom.cli.sample_ball", sampler)
     assert main(["verify", "--body", str(disk), "--suite", "asdim", "--samples", "200",
                  "--out", str(tmp_path / "v")]) == 0
-    # one call per round of each loop (two for the co-ray loop), not one per instance
+    # one base-point call per round of each loop, not one per instance
     assert asked[0] == 200 and len(asked) <= 20
 
     rows = json.loads((tmp_path / "v" / "verify_asdim.json").read_text())["rows"]

@@ -298,7 +298,8 @@ def test_constraint_pair_rates_match_two_exit_default(constraint_body):
     X = sample_interior(constraint_body, 20000, rng)
     Y = sample_interior(constraint_body, 20000, rng)
     assert _max_rel_gap(constraint_body, X, Y) <= 8e-15
-    X = sample_interior(constraint_body, 2000, rng, clearance=1e-6)
+    X = sample_interior(constraint_body, 2000, rng)
+    X = X[constraint_body.signed_gap(X) < -1e-6]   # room for the 1e-9 step
     U = rng.normal(size=X.shape)
     U /= np.linalg.norm(U, axis=1)[:, None]
     assert _max_rel_gap(constraint_body, X, X + 1e-9 * U) <= 8e-15
@@ -573,7 +574,8 @@ def test_quadric_pair_distances_match_two_exit_form(quadric_body):
     X, Y = _pair_sample(quadric_body, 20_000, 12)
     assert _max_rel_gap(quadric_body, X, Y) <= 1e-11
     rng = np.random.default_rng(13)
-    X = sample_interior(quadric_body, 2000, rng, clearance=1e-6)
+    X = sample_interior(quadric_body, 2000, rng)
+    X = X[quadric_body.signed_gap(X) < -1e-6]   # room for the 1e-9 step
     assert _max_rel_gap(quadric_body, X, X + 1e-9 * _unit_rows(rng, X.shape)) <= 1e-12
 
 
@@ -661,7 +663,8 @@ def test_quadric_pairs_against_50_digits(quadric_body):
     # by that conditioning, eps / (1 - |w|^2), the Cayley-Klein form stays
     # under it on every row and the two-exit form does not.
     rng = np.random.default_rng(16)
-    Xn = sample_interior(quadric_body, 300, rng, clearance=1e-6)
+    Xn = sample_interior(quadric_body, 300, rng)
+    Xn = Xn[quadric_body.signed_gap(Xn) < -1e-6]
     Yn = Xn + 1e-9 * _unit_rows(rng, Xn.shape)
     err_klein, err_two = rel_errors(Xn, Yn)
     W, V = M @ Xn.T, M @ Yn.T

@@ -219,10 +219,11 @@ def test_precondition_violations_exit_2(disk_json, capsys):
 
 
 def test_sampler_exhaustion_exits_2(tmp_path, capsys):
-    # no interior point of a 2 x 0.01 rectangle clears 2% of its diameter
+    # a 2 x 0.01 rectangle tilted by 45 degrees fills 1% of its box, and the
+    # asdim footprint row's small metric balls accept too few of their box draws
     thin = tmp_path / "thin.json"
-    thin.write_text('{"type": "polygon", "vertices": '
-                    '[[-1,-0.005],[1,-0.005],[1,0.005],[-1,0.005]]}\n')
+    thin.write_text('{"type": "polygon", "vertices": [[-0.703571,-0.710642],[0.710642,0.703571],'
+                    '[0.703571,0.710642],[-0.710642,-0.703571]]}\n')
     assert main(["verify", "--body", str(thin), "--suite", "asdim",
                  "--out", str(tmp_path / "v")]) == 2
     err = capsys.readouterr().err

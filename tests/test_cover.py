@@ -285,7 +285,7 @@ def _one_halving_first_marker(level, starts, ends, R):
         pts = field.points(thetas.ravel(), level.radius)
         P = pts.reshape(s.size, cover.N_ARC + 1, 2)
         d = field.dist_from(np.repeat(P[:, 0], cover.N_ARC + 1, axis=0), pts)
-        hit = d.reshape(s.size, cover.N_ARC + 1) >= R
+        hit = d.reshape(s.size, cover.N_ARC + 1) >= R * (1.0 - cover.TIE_REL)
         k = hit.argmax(axis=1)
         found = np.nonzero(hit.any(axis=1) & (k > 0) & (e > s))[0]
         lo[c + found] = thetas[found, k[found] - 1]
@@ -303,11 +303,28 @@ def _one_halving_first_marker(level, starts, ends, R):
         # matrix-vector path, whose last bits differ on the heptagon and gon64
         n = max(2, mid.size)
         P = np.resize(p0[live], (n, 2))
-        up = (field.dist_from(P, field.points(np.resize(mid, n), level.radius)) >= R)[:mid.size]
+        d = field.dist_from(P, field.points(np.resize(mid, n), level.radius))[:mid.size]
+        up = d >= R * (1.0 - cover.TIE_REL)
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
         live = live[hi[live] - lo[live] > cover.ANGLE_TOL]
     return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", ["square", "heptagon"])
+def test_markers_do_not_depend_on_the_scan_grid(monkeypatch, name):
+    # near the square's flat edges d(start, theta) - R reads +-2e-16 over a
+    # whole stretch of angles; without the tie rule, rounding there picked
+    # the level-1 marker after pi as 3.946363 at N_ARC = 64 and 3.927138 at 512
+    body = load_body(str(BENCH_DIR / f"{name}.json"))
+    o = body.interior_seed()
+    by_grid = {}
+    for n_arc in (64, 512):
+        monkeypatch.setattr(cover, "N_ARC", n_arc)
+        by_grid[n_arc] = [d.angles() for d in refine_to_depth(body, o, R, 4)]
+    for coarse, fine in zip(by_grid[64], by_grid[512], strict=True):
+        assert coarse.shape == fine.shape
+        assert np.max(np.abs(coarse - fine)) <= 1e-12
 
 
 @pytest.mark.parametrize("patch", [{}, {"ANGLE_TOL": 0.0}, {"MAX_HALVINGS": 5}],

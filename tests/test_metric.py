@@ -41,7 +41,7 @@ from hilbertgeom.errors import (
     Unbounded,
 )
 from hilbertgeom.metric import projective_transfer_defect
-from hilbertgeom.sampling import sample_interior
+from hilbertgeom.sampling import INNER_RADIUS, sample_ball
 
 
 def klein_radial(tau: float) -> float:
@@ -375,9 +375,7 @@ def test_perspective_rows_match_a_scalar_replay(seed):
 
         replay = np.random.default_rng([seed, 6])
         T = draw_map(body, replay)
-        clearance = 0.05 * body.euclidean_diameter()
-        X = sample_interior(body, n, replay, clearance)
-        Y = sample_interior(body, n, replay, clearance)
+        X, Y = np.split(sample_ball(body, body.interior_seed(), INNER_RADIUS, 2 * n, replay), 2)
         if isinstance(body, Polygon):
             image = Polygon([apply_map(T, v) for v in body.vertices])
         else:

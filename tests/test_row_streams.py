@@ -35,13 +35,13 @@ def bench_body(request):
 # -- the whole-array forms ---------------------------------------------------------
 
 
-def _old_sample_interior(body, n, rng, clearance=0.0):
+def _old_sample_interior(body, n, rng):
     """Every round draws and tests all max(2n, 64) candidates at once."""
     lo, hi = body.bounding_box()
     parts, held = [], 0
     for _ in range(sampling._MAX_ROUNDS + 1):
         cand = rng.uniform(lo, hi, (max(2 * n, 64), len(lo)))
-        parts.append(cand[body.signed_gap(cand) < -max(clearance, body.boundary_tol())])
+        parts.append(cand[body.signed_gap(cand) < -body.boundary_tol()])
         held += len(parts[-1])
         if held >= n:
             return np.concatenate(parts)[:n]
@@ -72,35 +72,32 @@ def _generators(seed):
 def test_sample_interior_stream_is_the_whole_array_draw(bench_body):
     # request sizes whose max(2n, 64) is 64, one block - 2, one block, one
     # block + 2 (in one block: the remainder joins the last block), and
-    # 200,000 candidates in several blocks; clearance 0 and above
+    # 200,000 candidates in several blocks
     B = _block_rows(bench_body)
-    diam = bench_body.euclidean_diameter()
     for n in (1, 32, B // 2 - 1, B // 2, B // 2 + 1, 100_000):
-        for clearance in (0.0, 0.1 * diam):
-            for mine, ref in _generators([30, n]):
-                got = sample_interior(bench_body, n, mine, clearance)
-                want = _old_sample_interior(bench_body, n, ref, clearance)
-                assert got.shape == want.shape == (n, bench_body.dimension)
-                assert np.array_equal(got, want), (n, clearance, mine.bit_generator)
-                assert _same_state(mine, ref)
-                assert mine.random() == ref.random()
+        for mine, ref in _generators([30, n]):
+            got = sample_interior(bench_body, n, mine)
+            want = _old_sample_interior(bench_body, n, ref)
+            assert got.shape == want.shape == (n, bench_body.dimension)
+            assert np.array_equal(got, want), (n, mine.bit_generator)
+            assert _same_state(mine, ref)
+            assert mine.random() == ref.random()
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
 def test_sample_interior_stops_testing_once_the_request_is_filled(bit_generator, monkeypatch):
-    # With 45% of the unit disk's box accepted, the first round of a
-    # 100,000-row request tests all 200,000 candidates and holds about 90,000
-    # rows; the second round is filled in its first block, and its other
-    # blocks are drawn and dropped untested.
-    body = _load("disk")
+    # A triangle fills 45.5% of its box, so the first round of a 100,000-row
+    # request tests all 200,000 candidates and holds about 91,000 rows; the
+    # second round is filled in its first block, and its other blocks are
+    # drawn and dropped untested.
+    body = bodies.Polygon([(0.0, 0.0), (1.0, 0.3), (0.3, 1.0)])
     n, B = 100_000, _block_rows(body)
-    clearance = 1.0 - np.sqrt(0.45 * 4.0 / np.pi)
     tested, gap = [], body.signed_gap
     mine, ref = np.random.Generator(bit_generator(31)), np.random.Generator(bit_generator(31))
     with monkeypatch.context() as mp:
         mp.setattr(body, "signed_gap", lambda P: tested.append(len(P)) or gap(P))
-        got = sample_interior(body, n, mine, clearance)
-    assert np.array_equal(got, _old_sample_interior(body, n, ref, clearance))
+        got = sample_interior(body, n, mine)
+    assert np.array_equal(got, _old_sample_interior(body, n, ref))
     assert _same_state(mine, ref)
     assert tested == [r.stop - r.start for r in bodies._row_blocks(2, 2 * n)] + [B]
 

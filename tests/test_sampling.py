@@ -16,15 +16,19 @@ from hilbertgeom import (
 )
 from hilbertgeom.errors import ExteriorPoint, GeometryError, SamplingExhausted
 
-# 2 x 0.01 rectangle: no point clears 0.1 of the boundary
-THIN = [(-1.0, -0.005), (1.0, -0.005), (1.0, 0.005), (-1.0, 0.005)]
+# a 2 x 1e-7 rectangle tilted by 45 degrees fills 1e-7 of its box, so
+# 201 rounds of 64 box draws are unlikely to hold an interior point
+SLIVER = [((x - y) / np.sqrt(2.0), (x + y) / np.sqrt(2.0))
+          for x, y in [(-1.0, -5e-8), (1.0, -5e-8), (1.0, 5e-8), (-1.0, 5e-8)]]
+# fills 37.5% of its box
+TRIANGLE = [(0.0, 0.0), (1.0, 0.5), (0.5, 1.0)]
 
 
 def test_sample_interior_exhaustion_is_typed():
-    body = Polygon(THIN)
+    body = Polygon(SLIVER)
     rng = np.random.default_rng(0)
     with pytest.raises(SamplingExhausted):
-        sample_interior(body, 1, rng, clearance=0.1)
+        sample_interior(body, 1, rng)
     assert issubclass(SamplingExhausted, GeometryError)
 
 
@@ -50,11 +54,12 @@ def test_ball_draws_need_an_interior_center(unit_disk, center):
 
 def test_samplers_fill_requests(unit_disk):
     rng = np.random.default_rng(1)
-    X = sample_interior(unit_disk, 50, rng, clearance=0.1)
+    X = sample_interior(unit_disk, 50, rng)
     assert X.shape == (50, 2)
-    assert np.all(unit_disk.signed_gap(X) < -0.1)
-    B = sample_ball(unit_disk, (0.0, 0.0), 1.0, 20, rng)
+    assert np.all(unit_disk.signed_gap(X) < -unit_disk.boundary_tol())
+    B = sample_ball(unit_disk, (0.0, 0.0), sampling.INNER_RADIUS, 20, rng)
     assert B.shape == (20, 2)
+    assert np.all(np.linalg.norm(B, axis=1) <= 0.9 + 1e-15)   # B(0, log 19) is |x| <= 0.9
 
 
 def test_collect_returns_n_rows_in_draw_order():
@@ -76,25 +81,26 @@ def test_collect_gives_up_after_a_first_draw_and_max_rounds_redraws():
     assert asked == [5] * (sampling._MAX_ROUNDS + 1)
 
 
-def test_sample_interior_draws_max_2n_64_candidates_per_round(heptagon):
+def test_sample_interior_draws_max_2n_64_candidates_per_round():
     # each round draws max(2n, 64) candidates for the whole request, however
     # many are still missing, so the stream does not depend on earlier rounds
+    triangle = Polygon(TRIANGLE)
     got_rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-    got = sample_interior(heptagon, 500, got_rng, clearance=0.3)
-    lo, hi = heptagon.bounding_box()
+    got = sample_interior(triangle, 500, got_rng)
+    lo, hi = triangle.bounding_box()
     kept, rounds = np.empty((0, 2)), 0
     while len(kept) < 500:
         cand = ref.uniform(lo, hi, size=(1000, 2))
-        kept = np.vstack([kept, cand[heptagon.signed_gap(cand) < -0.3]])
+        kept = np.vstack([kept, cand[triangle.signed_gap(cand) < -triangle.boundary_tol()]])
         rounds += 1
     assert rounds >= 2 and len(kept) > 500   # a redraw, and the last one overfills
     assert np.array_equal(got, kept[:500])
     assert got_rng.bit_generator.state == ref.bit_generator.state
 
     # exhausted: one first draw and _MAX_ROUNDS redraws of 64 candidates each
-    body, rng, ref = Polygon(THIN), np.random.default_rng(4), np.random.default_rng(4)
+    body, rng, ref = Polygon(SLIVER), np.random.default_rng(4), np.random.default_rng(4)
     with pytest.raises(SamplingExhausted):
-        sample_interior(body, 1, rng, clearance=0.1)
+        sample_interior(body, 1, rng)
     ref.uniform(size=((sampling._MAX_ROUNDS + 1) * 64, 2))
     assert rng.bit_generator.state == ref.bit_generator.state
 
