@@ -282,14 +282,38 @@ def _row_blocks(width: int, m: int) -> list[slice]:
     return [slice(a, z) for a, z in zip(cuts, cuts[1:])]
 
 
+def _prod(A: np.ndarray, B: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``A @ B`` for a (k, n) A and an (n, m) B, each column bit for bit the
+    same whatever m.  numpy hands a one-column product to BLAS's
+    matrix-vector path, whose last bits differ from the matrix-matrix path's
+    (on the heptagon, the 64-gon and ``ellipsoid3``), so one column is
+    evaluated as two.  Every kernel product goes through here."""
+    if B.shape[1] != 1:
+        return np.matmul(A, B, out=out)
+    C = np.matmul(A, B.repeat(2, axis=1))[:, :1]
+    if out is None:
+        return C
+    np.copyto(out, C)
+    return out
+
+
 def _slacks(N: np.ndarray, b: np.ndarray, P: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Constraint slacks ``s_i(p) = b_i - n_i . p`` of 2-D P, constraint-major.
 
     Shape (constraints, rows), reduced over axis 0; ``out`` is filled in place.
     The BLAS matmul's last bits depend on its column tiling: see ``_row_blocks``.
     """
-    S = np.matmul(N, P.T, out=out)
+    S = _prod(N, P.T, out=out)
     np.subtract(b[:, None], S, out=S)
+    return S
+
+
+def _interior_slacks(N: np.ndarray, b: np.ndarray, P: np.ndarray, what: str,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """``_slacks``, raising ExteriorBase unless every slack is positive."""
+    S = _slacks(N, b, P, out=out)
+    if not (S > 0.0).all():
+        raise ExteriorBase(f"{what} is not interior to the constraints")
     return S
 
 
@@ -314,10 +338,8 @@ def _constraint_exit(N: np.ndarray, b: np.ndarray, P: np.ndarray, U: np.ndarray)
     P, U = np.broadcast_arrays(P, U) if P.shape != U.shape else (P, U)
     back, fwd = np.empty(P.shape[0]), np.empty(P.shape[0])
     for rows in _row_blocks(N.shape[0], P.shape[0]):
-        S = _slacks(N, b, P[rows])
-        if not (S > 0.0).all():
-            raise ExteriorBase("ray base is not interior to the constraints")
-        np.divide(N @ U[rows].T, S, out=S).max(axis=0, out=fwd[rows])
+        S = _interior_slacks(N, b, P[rows], "ray base")
+        np.divide(_prod(N, U[rows].T), S, out=S).max(axis=0, out=fwd[rows])
         np.negative(S.min(axis=0), out=back[rows])
     if not ((back > 0.0).all() and (fwd > 0.0).all()):
         raise ExteriorBase("ray does not exit the body")
@@ -336,18 +358,24 @@ def _constraint_pairs(N: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray
     """
     back, fwd = np.empty(X.shape[0]), np.empty(X.shape[0])
     for rows in _row_blocks(N.shape[0], X.shape[0]):
-        G = N @ (Y[rows] - X[rows]).T
-        S = _slacks(N, b, Y[rows])
-        if not (S > 0.0).all():
-            raise ExteriorBase("pair point is not interior to the constraints")
+        G = _prod(N, (Y[rows] - X[rows]).T)
+        S = _interior_slacks(N, b, Y[rows], "pair point")
         np.divide(G, S, out=S).max(axis=0, out=fwd[rows])
-        _slacks(N, b, X[rows], out=S)
-        if not (S > 0.0).all():
-            raise ExteriorBase("pair point is not interior to the constraints")
+        _interior_slacks(N, b, X[rows], "pair point", out=S)
         np.negative(np.divide(G, S, out=S).min(axis=0), out=back[rows])
     if not ((back > 0.0).all() and (fwd > 0.0).all()):
         raise ExteriorBase("chord does not exit the body")
     return np.log1p(back) + np.log1p(fwd)
+
+
+def _unit_coords(M: np.ndarray, c: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-ball coordinates ``M (p - c)`` of rows P, coordinate-major, and
+    ``1 - |w|^2``; ExteriorBase unless every row is inside."""
+    W = _prod(M, _coords(P, c))
+    a = 1.0 - np.einsum("ij,ij->j", W, W)
+    if not (a > 0.0).all():
+        raise ExteriorBase("pair point is not inside the body")
+    return W, a
 
 
 def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -364,13 +392,9 @@ def _quadric_pairs(M: np.ndarray, c: np.ndarray, X: np.ndarray, Y: np.ndarray) -
     out = np.empty(X.shape[0])
     for rows in _row_blocks(len(M), X.shape[0]):
         x, y = X[rows], Y[rows]
-        W = M @ _coords(x, c)
-        V = M @ _coords(y, c)
-        D = M @ _coords(x, y)
-        ax = 1.0 - np.einsum("ij,ij->j", W, W)
-        ay = 1.0 - np.einsum("ij,ij->j", V, V)
-        if not ((ax > 0.0).all() and (ay > 0.0).all()):
-            raise ExteriorBase("pair point is not inside the body")
+        W, ax = _unit_coords(M, c, x)
+        V, ay = _unit_coords(M, c, y)
+        D = _prod(M, _coords(x, y))
         dd = np.einsum("ij,ij->j", D, D)
         dw = np.einsum("ij,ij->j", D, W)
         dv = np.einsum("ij,ij->j", D, V)
@@ -636,7 +660,7 @@ class Ellipsoid(ConvexBody):
 
     def signed_gap(self, P: np.ndarray) -> np.ndarray:
         q = _coords(np.atleast_2d(P), self.center)
-        m = np.sqrt(_sq_norms(self._to_unit @ q))
+        m = np.sqrt(_sq_norms(_prod(self._to_unit, q)))
         r = np.sqrt(_sq_norms(q))
         deep = m < 1e-12
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -645,8 +669,8 @@ class Ellipsoid(ConvexBody):
 
     def ray_exit(self, P: np.ndarray, U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the roots (-B -+ root) / A of A s^2 + 2 B s + C = 0 in unit-ball coordinates
-        w = self._to_unit @ _coords(np.atleast_2d(P), self.center)
-        v = self._to_unit @ np.atleast_2d(U).T
+        w = _prod(self._to_unit, _coords(np.atleast_2d(P), self.center))
+        v = _prod(self._to_unit, np.atleast_2d(U).T)
         A = _dots(v, v)
         B = _dots(w, v)
         C = _dots(w, w) - 1.0

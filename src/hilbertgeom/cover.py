@@ -190,9 +190,7 @@ def first_marker(level: SphereLevel, starts, ends, R: float) -> np.ndarray:
     p0 = np.zeros((starts.size, 2))
     scan = np.nonzero((ends > starts) & (R > 0.0))[0]
     if scan.size:
-        # never one row: a one-row call takes BLAS's matrix-vector path, whose
-        # last bits differ from those of every wider call
-        p0[scan] = field.points(np.resize(starts[scan], max(2, scan.size)), level.radius)[:scan.size]
+        p0[scan] = field.points(starts[scan], level.radius)
     col = 1
     while scan.size and col <= N_ARC:
         width = N_ARC

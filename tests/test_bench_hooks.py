@@ -124,6 +124,38 @@ need = perlayer.REQUIRED_CALLS["batch-kernels"]
 print(json.dumps({"need": need, "uncalled": [n for n in need if table.calls(n) == 0]}))
 """
 
+# The tracer counts ``ray_exit`` rows from the base argument P, and
+# ``CallTimer`` counts ``distance_pairs`` rows from X: a caller that passed
+# its base as one row, not as a broadcast of it, would hide the other rows.
+ROW_COUNT_RUN = """
+import json
+import numpy as np
+import tracer
+t = tracer.Tracer()
+t.install()
+timer = tracer.CallTimer()
+timer.install()
+import hilbertgeom as hg
+from hilbertgeom import cover
+want, timed = {}, []
+for k, b in enumerate(("disk", "ellipse", "square", "heptagon", "gon64")):
+    body = hg.load_body(f"perfbench/bodies/{b}.json")
+    o = body.interior_seed()
+    field = cover.SphereField(body, o)
+    thetas = np.linspace(0.0, 6.0, 1000 + 101 * k)
+    t.enabled = True
+    field.exits(thetas)
+    t.enabled = False
+    want[body.kind] = want.get(body.kind, 0) + len(thetas)
+    Q = hg.sample_interior(body, 700 + k, np.random.default_rng(k))
+    timer.take()
+    hg.distance_pairs(body, np.broadcast_to(o, Q.shape), Q)
+    timed.append([timer.take()[0], len(Q)])
+table = tracer.SpanTable(t)
+print(json.dumps({"want": want, "timed": timed,
+                  "traced": {kind: table.rows(f"bodies.ray_exit.{kind}") for kind in want}}))
+"""
+
 
 def _run(code: str) -> dict:
     env = dict(os.environ)
@@ -172,3 +204,10 @@ def test_batch_kernels_call_every_traced_name():
                  "bodies.construct.polytope", "metric.distance_pairs"):
         assert name in got["need"]
     assert got["uncalled"] == []
+
+
+def test_broadcast_bases_keep_every_row_counted():
+    got = _run(ROW_COUNT_RUN)
+    assert got["traced"] == got["want"]
+    assert sorted(got["want"]) == ["disk", "ellipsoid", "polygon"]
+    assert all(rows == n for rows, n in got["timed"])

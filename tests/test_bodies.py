@@ -518,6 +518,79 @@ def test_ray_exit_rejects_an_exterior_row_on_either_side(bench_body, toward):
                 bench_body.ray_exit(P, V)
 
 
+# -- one-row calls and broadcast bases ---------------------------------------
+
+
+def test_one_row_calls_give_the_batched_bits(bench_body):
+    # numpy hands a one-column product to BLAS's matrix-vector path, whose
+    # last bits differ from the matrix-matrix path's (heptagon, gon64,
+    # ellipsoid3); every kernel product evaluates one column as two
+    rng = np.random.default_rng(17)
+    m = 2000
+    P = sample_interior(bench_body, m, rng)
+    Y = sample_interior(bench_body, m, rng)
+    U = _unit_rows(rng, P.shape)
+    gap, (back, fwd), d = bench_body.signed_gap(P), bench_body.ray_exit(P, U), bench_body.pair_distances(P, Y)
+    for i in range(m):
+        row = slice(i, i + 1)
+        assert bench_body.signed_gap(P[row])[0] == gap[i], f"gap row {i}"
+        assert bench_body.ray_exit(P[row], U[row]) == (back[i], fwd[i]), f"exit row {i}"
+        assert bench_body.pair_distances(P[row], Y[row])[0] == d[i], f"pair row {i}"
+        assert distance_pairs(bench_body, P[row], Y[row])[0] == d[i], f"distance_pairs row {i}"
+
+
+BROADCAST_ROWS = (1, 2, 3, 64, 65, 1000, 2100)   # 2,100 rows: three 64-gon row blocks
+
+
+@pytest.mark.parametrize("m", BROADCAST_ROWS)
+def test_broadcast_base_matches_written_out_rows(bench_body, m):
+    rng = np.random.default_rng([18, m])
+    p = sample_interior(bench_body, 1, rng)[0]
+    Y = sample_interior(bench_body, m, rng)
+    U = _unit_rows(rng, Y.shape)
+    shared, written = np.broadcast_to(p, Y.shape), np.repeat(p[None, :], m, axis=0)
+    assert shared.strides[0] == 0 and written.strides[0] != 0
+    for got, want in zip(bench_body.ray_exit(shared, U), bench_body.ray_exit(written, U)):
+        assert np.array_equal(got, want)
+    assert np.array_equal(bench_body.pair_distances(shared, Y), bench_body.pair_distances(written, Y))
+    assert np.array_equal(distance_pairs(bench_body, shared, Y), distance_pairs(bench_body, written, Y))
+    # one row of Y at the base, which distance_pairs masks
+    Y[m // 2] = p
+    assert np.array_equal(distance_pairs(bench_body, shared, Y), distance_pairs(bench_body, written, Y))
+
+
+def _exterior_message(call, P) -> str | None:
+    try:
+        call(P)
+    except ExteriorBase as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("where", ["boundary", "outside"])
+def test_broadcast_base_off_the_interior_raises_like_written_out_rows(bench_body, where):
+    rng = np.random.default_rng(19)
+    m = 65
+    Y = sample_interior(bench_body, m, rng)
+    U = _unit_rows(rng, Y.shape)
+    seed = bench_body.interior_seed()
+    u = _unit_rows(rng, (1, bench_body.dimension))[0]
+    fwd = bench_body.ray_exit(seed, u)[1][0]
+    for call in (lambda P: bench_body.ray_exit(P, U), lambda P: bench_body.pair_distances(P, Y)):
+        if where == "outside":
+            p = seed + 2.0 * fwd * u
+        else:
+            # the exit point, stepped out one ulp at a time until the base is refused
+            p = seed + fwd * u
+            for _ in range(64):
+                if _exterior_message(call, np.repeat(p[None, :], m, axis=0)) is not None:
+                    break
+                p = np.nextafter(p, p + u)
+        want = _exterior_message(call, np.repeat(p[None, :], m, axis=0))
+        assert want is not None
+        assert _exterior_message(call, np.broadcast_to(p, Y.shape)) == want
+
+
 # -- flat boundary segments ----------------------------------------------------
 
 

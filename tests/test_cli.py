@@ -349,6 +349,26 @@ def test_verify_one_sample_gives_a_one_point_clearance_set(suite, disk_json, tmp
     assert row["note"].startswith("sampled diameter 0.0000 ")
 
 
+def test_clearance_row_tests_the_triangle_bound(disk_json, tmp_path, capsys, monkeypatch):
+    # points of B(seed, t) lie at most 2t apart; the row passes under that
+    # bound and fails a sampler that strays past the ball
+    out = tmp_path / "vc"
+    assert main(["verify", "--body", disk_json, "--suite", "coarse", "--samples", "50",
+                 "--out", str(out)]) == 0
+    rows = json.loads((out / "verify_coarse.json").read_text())["rows"]
+    row = next(r for r in rows if r["name"] == "clearance_sets_bounded")
+    diam = float(row["note"].split()[2])
+    assert row["passed"] and row["tolerance"] == 1e-9
+    assert row["defect"] == pytest.approx(diam - 2.0 * math.log(19.0), abs=1e-4) and row["defect"] < 0.0
+    real = cli.sample_ball
+    monkeypatch.setattr(cli, "sample_ball", lambda body, c, t, n, rng: real(body, c, 2.0 * t, n, rng))
+    assert main(["verify", "--body", disk_json, "--suite", "coarse", "--samples", "50",
+                 "--out", str(out)]) == 3
+    rows = json.loads((out / "verify_coarse.json").read_text())["rows"]
+    assert [r["name"] for r in rows if not r["passed"]] == ["clearance_sets_bounded"]
+    assert next(r for r in rows if r["name"] == "clearance_sets_bounded")["defect"] > 0.0
+
+
 def test_verify_unattainable_tolerance_exits_3(disk_json, tmp_path, capsys):
     out = tmp_path / "v3"
     code = main(["verify", "--body", disk_json, "--suite", "metric",

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hilbertgeom import (
     contraction_constant,
@@ -11,8 +14,12 @@ from hilbertgeom import (
     flat_boundary_ray_bound,
     greedy_packing,
     higson_defect,
+    load_body,
+    sample_interior,
     verify_contraction,
 )
+from hilbertgeom import coarse
+from hilbertgeom.sampling import ball_candidates
 from hilbertgeom.errors import BadOrder, BadRadii, BallNotContained, NotOnBoundary
 
 
@@ -143,3 +150,60 @@ def test_higson_defect_decays_on_disk(unit_disk):
     far = higson_defect(unit_disk, wrapped, 1.0, 12.0, 1500, seed=0)
     assert far < near
     assert far < 0.05
+
+
+# -- the greedy packing's Euclidean filter ---------------------------------------
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench" / "bodies"
+BENCH_BODIES = sorted(p.stem for p in BENCH_DIR.glob("*.json"))
+
+
+@pytest.fixture(scope="module", params=BENCH_BODIES)
+def bench_body(request):
+    return load_body(str(BENCH_DIR / f"{request.param}.json"))
+
+
+def _full_accept_loop(body, c, R, epsilon, trials, seed):
+    """``greedy_packing``'s accepts measured against the whole pool on every
+    accept, as before the Euclidean filter."""
+    cands = ball_candidates(body, c, R, trials, np.random.default_rng(seed))
+    chosen, pool, last = [c], cands, c
+    while len(pool):
+        d = distance_pairs(body, np.broadcast_to(last, pool.shape), pool)
+        pool = np.compress(d > 2.0 * epsilon, pool, axis=0)
+        if not len(pool):
+            break
+        last = pool[0]
+        chosen.append(last)
+        pool = pool[1:]
+    return np.array(chosen)
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.25, 1.0, 4.0])
+def test_filtered_packing_matches_the_full_accept_loop(bench_body, epsilon):
+    # 4,000 trials: every bench body's first pool exceeds the filter's cut-off
+    c = bench_body.interior_seed()
+    for seed in range(5):
+        cands = ball_candidates(bench_body, c, 2.0, 4000, np.random.default_rng(seed))
+        assert len(cands) > coarse._FILTER_MIN_POOL
+        rep = greedy_packing(bench_body, c, 2.0, epsilon, 4000, seed)
+        want = _full_accept_loop(bench_body, c, 2.0, epsilon, 4000, seed)
+        assert rep.count == len(want)
+        assert np.array_equal(rep.points, want), f"seed {seed}"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_distance_exceeds_the_packing_filter_bound(seed):
+    # on a chord a, x, y, b with rho = |x - y| and |a x| + |y b| <= L - rho,
+    # d(x, y) = log1p(rho/|a x|) + log1p(rho/|y b|) >= 2 log1p(2 rho / (L - rho)),
+    # with equality on a diameter of the disk centred on its centre, so the
+    # computed distances get a rounding slack
+    rng = np.random.default_rng(seed)
+    for name in BENCH_BODIES:
+        body = load_body(str(BENCH_DIR / f"{name}.json"))
+        X, Y = sample_interior(body, 200, rng), sample_interior(body, 200, rng)
+        L = body.euclidean_diameter()
+        rho = np.linalg.norm(X - Y, axis=1)
+        bound = 2.0 * np.log1p(2.0 * rho / (L - rho))
+        assert np.all(distance_pairs(body, X, Y) >= bound * (1.0 - 1e-12)), name

@@ -89,7 +89,10 @@ def _old_disk_exit(disk, P, U):
 
 
 def _old_ellipsoid_exit(ell, P, U):
-    P, U = np.atleast_2d(P, U)
+    # a one-row operand written out to every row: a one-row product takes
+    # BLAS's matrix-vector path, and the kernels give every row the bits of
+    # the matrix-matrix path
+    P, U = np.broadcast_arrays(*np.atleast_2d(P, U))
     w = (P - ell.center) @ ell._to_unit.T
     v = U @ ell._to_unit.T
     A = np.einsum("ij,ij->i", v, v)

@@ -251,8 +251,8 @@ def test_marker_scan_stops_at_the_first_crossing_block(unit_disk, scanned_rows):
 def test_marker_scan_reads_every_column_of_an_arc_without_crossing(request, name, scanned_rows):
     lvl = SphereLevel(index=1, radius=R, field=SphereField(request.getfixturevalue(name), np.zeros(2)))
     assert np.isnan(first_marker(lvl, [1.0], [1.01], R)).all()
-    # the start is measured in two rows: one-row calls take other last bits
-    assert scanned_rows == [2, cover.N_ARC]
+    # the start is measured in one row: a one-row call gives the batched bits
+    assert scanned_rows == [1, cover.N_ARC]
 
 
 @pytest.mark.parametrize("name", PLANAR_BENCH)
@@ -299,11 +299,8 @@ def _one_halving_first_marker(level, starts, ends, R):
         live, mid = live[splits], mid[splits]
         if live.size == 0:
             break
-        # a lone midpoint is measured twice: one-row calls take BLAS's
-        # matrix-vector path, whose last bits differ on the heptagon and gon64
-        n = max(2, mid.size)
-        P = np.resize(p0[live], (n, 2))
-        d = field.dist_from(P, field.points(np.resize(mid, n), level.radius))[:mid.size]
+        # a lone midpoint is measured in a one-row call
+        d = field.dist_from(p0[live], field.points(mid, level.radius))
         up = d >= R * (1.0 - cover.TIE_REL)
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
